@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegenerateMetric, ExprSyntaxError, FormSpecError,
                      SingularForm)
 from .expr import Expr, Neg, eval_value, parse, to_text, _first_bad
-from .geometry import JetFrame, PlueckerVector, _batched_det
+from .geometry import JetFrame, PlueckerVector, _det
 
 __all__ = [
     "canonical_density", "gauss_bonnet_fundamentals", "gauss_bonnet_density",
@@ -49,7 +49,7 @@ def canonical_density(pv: PlueckerVector) -> np.ndarray:
             f"codimension-one frames only: {pv.p.shape[0]} minors "
             f"for {n} parameters")
     M = np.concatenate([pv.p[np.newaxis], np.moveaxis(pv.dp, 1, 0)], axis=0)
-    return orientation_sign(n) * _batched_det(M) / pv.norm ** (n + 1)
+    return orientation_sign(n) * _det(M) / pv.norm ** (n + 1)
 
 
 def gauss_bonnet_fundamentals(frame: JetFrame):
@@ -69,7 +69,7 @@ def gauss_bonnet_fundamentals(frame: JetFrame):
     G = np.sum(xv * xv, axis=0)
 
     def det3(top):
-        return _batched_det(np.stack([top, xu, xv]))
+        return _det(np.stack([top, xu, xv]))
 
     D11 = det3(frame.second[:, 0, 0])
     D22 = det3(frame.second[:, 1, 1])
@@ -374,7 +374,7 @@ def generic_pluecker_density(spec: PlueckerFormSpec,
     total = np.zeros(pv.p.shape[1:])
     for term in spec.terms:
         rows = pv.dp[list(term.wedge)][:, :spec.n]
-        total = total + eval_value(term.phi, pv.p) * _batched_det(rows)
+        total = total + eval_value(term.phi, pv.p) * _det(rows)
     if spec.power:
         total = total / denom_sq ** (spec.power / 2.0)
     return total

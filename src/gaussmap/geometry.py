@@ -160,9 +160,13 @@ def immersion_check(frame: JetFrame, eps: float = 1e-9) -> None:
     frame-wide maximum keeps the test scale-invariant yet still catches
     near-cusps of curves, where the pointwise ratio is identically one.
     """
-    A = np.moveaxis(frame.jac, (0, 1), (-2, -1))
-    sv = np.linalg.svd(A, compute_uv=False)
-    smin, smax = sv[..., -1], sv[..., 0]
+    if frame.n == 1:
+        # the only singular value of an N x 1 Jacobian is its column norm
+        smin = smax = np.sqrt(np.sum(frame.jac ** 2, axis=0))[0]
+    else:
+        A = np.moveaxis(frame.jac, (0, 1), (-2, -1))
+        sv = np.linalg.svd(A, compute_uv=False)
+        smin, smax = sv[..., -1], sv[..., 0]
     scale = np.max(smax)
     bad = ~(smin > eps * scale) | ~np.isfinite(smax)
     if np.any(bad):
@@ -177,8 +181,8 @@ class PlueckerVector:
     """Maximal minors of the transposed Jacobian and their derivatives.
 
     ``p[c]`` is the minor for ``indices[c]``; ``dp[c, j]`` its derivative
-    along parameter ``j``, obtained by replacing one Jacobian row at a
-    time with its derivative.  Batch axes trail.
+    along parameter ``j``, the sum over Jacobian rows of the minor with
+    that row replaced by its derivative.  Batch axes trail.
     """
 
     indices: tuple       # C axis subsets, each an n-tuple
@@ -192,13 +196,34 @@ class PlueckerVector:
         return self.dp.shape[1]
 
 
-def _batched_det(rows: np.ndarray) -> np.ndarray:
-    # rows has shape (n, n) + batch; determinants want matrix axes last
-    return np.linalg.det(np.moveaxis(rows, (0, 1), (-2, -1)))
+def _det(rows) -> np.ndarray:
+    """Determinants of ``rows``, laid out ``(n, n) + batch``.
+
+    Sizes up to 3 are closed forms on the entries ``rows[i][j]``, so a
+    nested list of arrays works as well as one array; larger sizes go to
+    LAPACK, which wants the matrix axes last.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1.0
+    if n == 1:
+        return rows[0][0] * 1.0  # a copy, never a view into rows
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = (tuple(r) for r in rows)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(np.moveaxis(np.asarray(rows), (0, 1), (-2, -1)))
 
 
 def pluecker(frame: JetFrame, check: bool = True) -> PlueckerVector:
-    """Tangent-plane coordinates of a frame, with parameter derivatives."""
+    """Tangent-plane coordinates of a frame, with parameter derivatives.
+
+    Each minor is a Laplace expansion along its first row.  A minor is
+    linear in each row, so its derivative along ``t_k`` pairs the
+    cofactors with the row derivatives:
+    ``dp[c, k] = sum_{r, a} cof[r, a] * Dt[r, cols[a], k]``.
+    """
     n, N = frame.n, frame.ambient_dim
     shape = frame.batch_shape
     index_sets = minor_index_sets(n, N)
@@ -209,19 +234,19 @@ def pluecker(frame: JetFrame, check: bool = True) -> PlueckerVector:
     Dt = np.moveaxis(frame.second, 0, 1)
 
     C = len(index_sets)
-    p = np.empty((C,) + shape)
+    p = np.zeros((C,) + shape)
     dp = np.zeros((C, n) + shape)
-    for c, I in enumerate(index_sets):
-        cols = list(I)
-        block = At[:, cols]
-        p[c] = _batched_det(block)
+    for c, cols in enumerate(index_sets):
+        block = [[At[j, a] for a in cols] for j in range(n)]
         for r in range(n):
-            # one row of the minor replaced by its derivative along t_k
-            modified = np.repeat(block[np.newaxis], n, axis=0)
-            for k in range(n):
-                modified[k, r] = Dt[r, cols, k]
-            for k in range(n):
-                dp[c, k] += _batched_det(modified[k])
+            rest = block[:r] + block[r + 1:]
+            for a, col in enumerate(cols):
+                cof = _det([row[:a] + row[a + 1:] for row in rest])
+                if (r + a) % 2:
+                    cof = -cof
+                if r == 0:
+                    p[c] += block[0][a] * cof
+                dp[c] += cof * Dt[r, col]
     norm = np.sqrt(np.sum(p * p, axis=0))
 
     if check:

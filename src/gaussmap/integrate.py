@@ -140,11 +140,14 @@ def integrate(density: Callable[[np.ndarray], np.ndarray],
 
 
 def normalization_constant(n: int, convention: str = "sphere") -> float:
-    """Period of the degree form: unit n-sphere volume, or ``2^n * pi``."""
+    """Period of the degree form: unit n-sphere volume, or ``2^n * pi``;
+    ``"2pi"`` is the period of the complex pairing, whatever ``n``."""
     if convention == "sphere":
         return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     if convention == "paper":
         return (2.0 ** n) * math.pi
+    if convention == "2pi":
+        return 2.0 * math.pi
     raise ValueError(f"unknown normalization convention {convention!r}")
 
 

@@ -165,15 +165,7 @@ def kaehler_invariant(chart: ImmersionChart, domain: DomainSpec,
     density = _checked_density(chart, lambda f: kaehler_density(pluecker(f)))
     res = integrate(density, domain, quad)
     if certify_2pi:
-        normalized = res.value / (2 * np.pi)
-        nearest = round(normalized)
-        residual = abs(normalized - nearest)
-        k = int(nearest) if residual <= quad.tol_cert else None
-        return InvariantReport(
-            kind="kaehler", raw=res.value, normalized=normalized, k=k,
-            residual=residual, converged=res.converged,
-            levels_used=res.levels_used, trace=res.trace,
-            convention="2pi")
+        return _report("kaehler", res, 2, quad, "2pi")
     return InvariantReport(
         kind="kaehler", raw=res.value, normalized=None, k=None,
         residual=None, converged=res.converged, levels_used=res.levels_used,

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (BoundaryVertex, DegenerateTetrahedron,
                      DegenerateTriangle, LinkNotSphere, MeshError, OpenMesh,
                      ZeroLengthEdge)
+from .geometry import _det
 
 __all__ = [
     "SimplicialImmersion", "MeshTotal", "load_off", "load_mesh_json",
@@ -169,7 +170,7 @@ def solid_angle(apex, b, c, d) -> float:
     if np.min(lens) <= 1e-15 * max(np.max(lens), 1e-300):
         raise ZeroLengthEdge("tetrahedron edge at the apex has zero length")
     scale = float(lens[0] * lens[1] * lens[2])
-    det = float(np.linalg.det(G))
+    det = float(_det(G))
     if det <= 1e-14 * scale * scale:
         raise DegenerateTetrahedron(
             "tetrahedron is flat at the apex",

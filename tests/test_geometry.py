@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gaussmap.errors import DegenerateJacobian, ZeroPlueckerVector
+from gaussmap.forms import canonical_density, gauss_bonnet_density
 from gaussmap.geometry import (
-    ConeChart, ImmersionChart, cone_frame, immersion_check, jacobian_frame,
-    minor_index_sets, pluecker,
+    ConeChart, ImmersionChart, JetFrame, cone_frame, immersion_check,
+    jacobian_frame, minor_index_sets, pluecker, _det,
 )
 
 
@@ -28,6 +29,38 @@ def fd_dp(chart, t, h=1e-6):
         pm = pluecker(chart.frame(t - ej), check=False).p
         cols.append((pp - pm) / (2 * h))
     return np.stack(cols, axis=1)
+
+
+def replace_row_pluecker(frame):
+    """Minors and their derivatives the long way: LAPACK on every minor,
+    and on every copy with one row replaced by its derivative."""
+    n = frame.n
+    At = np.moveaxis(frame.jac, 0, 1)
+    Dt = np.moveaxis(frame.second, 0, 1)
+    det = lambda rows: np.linalg.det(np.moveaxis(rows, (0, 1), (-2, -1)))
+    p, dp = [], []
+    for I in minor_index_sets(n, frame.ambient_dim):
+        block = At[:, list(I)]
+        p.append(det(block))
+        dpc = []
+        for k in range(n):
+            total = 0.0
+            for r in range(n):
+                modified = block.copy()
+                modified[r] = Dt[r, list(I), k]
+                total = total + det(modified)
+            dpc.append(total)
+        dp.append(dpc)
+    return np.array(p), np.array(dp)
+
+
+def random_frame(rng, n, N, batch):
+    jac = rng.standard_normal((N, n) + batch)
+    second = rng.standard_normal((N, n, n) + batch)
+    second = 0.5 * (second + np.swapaxes(second, 1, 2))
+    t = rng.standard_normal((n,) + batch)
+    return JetFrame(t=t, x=rng.standard_normal((N,) + batch), jac=jac,
+                    second=second)
 
 
 # --- index layout ------------------------------------------------------------
@@ -132,6 +165,60 @@ def test_reparametrization_scales_minors_by_jacobian_factor():
     assert np.allclose(pv_f.p, 2.0 * pv_b.p)
     # derivatives pick up one extra chain-rule factor
     assert np.allclose(pv_f.dp, 4.0 * pv_b.dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(7,), (3, 5)])
+def test_det_matches_lapack(n, batch):
+    rng = np.random.default_rng(20 + n)
+    rows = rng.standard_normal((n, n) + batch)
+    # nearly singular: last row a combination of the others plus 1e-10
+    near = rows.copy()
+    mix = rng.standard_normal((n - 1,) + batch)
+    near[-1] = (np.sum(mix[:, np.newaxis] * near[:-1], axis=0)
+                + 1e-10 * rng.standard_normal((n,) + batch))
+    for M in (rows, near):
+        want = np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
+        hadamard = np.prod(np.sqrt(np.sum(M * M, axis=1)), axis=0)
+        got = _det(M)
+        assert got.shape == batch
+        assert np.all(np.abs(got - want) <= 1e-13 * hadamard)
+    others = np.prod(np.sqrt(np.sum(near[:-1] ** 2, axis=1)), axis=0)
+    assert np.all(np.abs(_det(near)) <= 1e-8 * others)
+
+
+@pytest.mark.parametrize("n,N", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4),
+                                 (3, 5), (4, 5)])
+def test_cofactor_minors_match_replace_row_algorithm(n, N):
+    rng = np.random.default_rng(100 * n + N)
+    frame = random_frame(rng, n, N, (6,))
+    pv = pluecker(frame)
+    p, dp = replace_row_pluecker(frame)
+    # Hadamard bounds of each minor and of each row-replaced copy
+    At = np.moveaxis(frame.jac, 0, 1)
+    Dt = np.moveaxis(frame.second, 0, 1)
+    row = np.sqrt(np.sum(At * At, axis=1))
+    drow = np.sqrt(np.sum(Dt * Dt, axis=1))
+    bound_p = np.prod(row, axis=0)
+    bound_dp = sum(drow[r] * np.prod(np.delete(row, r, axis=0), axis=0)
+                   for r in range(n))
+    assert np.all(np.abs(pv.p - p) <= 1e-12 * bound_p)
+    assert np.all(np.abs(pv.dp - dp) <= 1e-12 * bound_dp)
+
+
+def test_low_dimensional_pipelines_never_call_lapack_det(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    circle = ImmersionChart(["cos(t1)", "sin(t1)"], 1)
+    sphere = ImmersionChart(
+        ["cos(t1)*sin(t2)", "sin(t1)*sin(t2)", "cos(t2)"], 2)
+    curve_frame = circle.frame(np.linspace(0.0, 6.0, 9)[np.newaxis])
+    surface_frame = sphere.frame(np.stack(np.meshgrid(
+        np.linspace(0.0, 6.0, 5), np.linspace(0.3, 2.8, 4), indexing="ij")))
+    for frame in (curve_frame, surface_frame):
+        assert np.all(np.isfinite(canonical_density(pluecker(frame))))
+    assert np.all(np.isfinite(gauss_bonnet_density(surface_frame)))
 
 
 # --- cone charts -------------------------------------------------------------
