@@ -13,12 +13,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CertificationFailed, DomainError
+from .errors import CertificationFailed, DomainError, FormSpecError
 from .forms import (PlueckerFormSpec, canonical_density, gauss_bonnet_density,
                     generic_pluecker_density, kaehler_density,
                     projective_density)
 from .geometry import (ConeChart, ImmersionChart, JetFrame, immersion_check,
-                       pluecker)
+                       minor_index_sets, pluecker)
 from .integrate import (DomainSpec, IntegralResult, QuadratureSpec, certify,
                         integrate, normalization_constant)
 
@@ -162,6 +162,11 @@ def kaehler_invariant(chart: ImmersionChart, domain: DomainSpec,
     """
     if chart.n != 2:
         raise ValueError("the complex pairing is a surface invariant")
+    minors = len(minor_index_sets(2, chart.ambient_dim))
+    if minors % 2:
+        raise FormSpecError(
+            f"the complex pairing needs an even number of minors; a "
+            f"surface in R^{chart.ambient_dim} has {minors}")
     density = _checked_density(chart, lambda f: kaehler_density(pluecker(f)))
     res = integrate(density, domain, quad)
     if certify_2pi:

@@ -95,6 +95,13 @@ def test_kaehler_product_torus():
     assert doc["convention"] == "2pi"
 
 
+def test_kaehler_on_codimension_one_surface_is_structured():
+    # a surface in R^3 has 3 minors, which cannot pair as complex numbers
+    err = run_error("kaehler", MANIFESTS / "sphere.man")
+    assert err["code"] == "form_spec"
+    assert "even number of minors" in err["message"]
+
+
 def test_projective_charts():
     doc = run_json("projective", MANIFESTS / "circle_rp2.man")
     assert doc["ks"] == [1, 0, 0]

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +377,207 @@ def test_mesh_json_roundtrip(tmp_path):
     worse.write_text("not json")
     with pytest.raises(MeshError):
         load_mesh_json(worse)
+
+
+# ---------------------------------------------------------------------------
+# batched totals against the single-vertex route and a per-vertex loop
+
+
+def _hull_mesh(count, dim, seed):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return SimplicialImmersion(pts, ConvexHull(pts).simplices)
+
+
+def _looped_defect(mesh, v):
+    """The defect as a loop over the star found by scanning every
+    simplex: triangle corner angles, or, for tetrahedra, the solid
+    angles at each link vertex folded against 2*pi and then 4*pi."""
+    P = mesh.vertices
+    star = [s for s in mesh.simplices if v in s]
+    if mesh.dim == 2:
+        total = 0.0
+        for tri in star:
+            u, w = [P[i] - P[v] for i in tri if i != v]
+            nu, nw = math.sqrt(float(u @ u)), math.sqrt(float(w @ w))
+            dot = float(u @ w)
+            total += math.atan2(
+                math.sqrt(max(nu * nu * nw * nw - dot * dot, 0.0)), dot)
+        return 2.0 * math.pi - total
+    total = 0.0
+    for mu in sorted({i for s in star for i in s if i != v}):
+        omega = sum(solid_angle(P[mu], *[P[i] for i in s if i != mu])
+                    for s in star if mu in s)
+        total += 2.0 * math.pi - omega
+    return 4.0 * math.pi - total
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_convex_sphere(60, seed=4),
+    lambda: torus_mesh(12, 6),
+    lambda: subdivide_midpoint(tetrahedron()),
+    simplex4_boundary,
+    lambda: _hull_mesh(40, 4, 8),
+], ids=["convex_sphere", "torus", "subdivided", "simplex4", "hull4"])
+def test_total_per_vertex_matches_single_vertex_and_loop(make):
+    mesh = make()
+    total, single = ((total_invariant_2, exterior_angle_2) if mesh.dim == 2
+                     else (total_invariant_3, exterior_angle_3))
+    got = np.array(total(mesh).per_vertex)
+    alone = [single(mesh, v) for v in range(mesh.num_vertices)]
+    looped = [_looped_defect(mesh, v) for v in range(mesh.num_vertices)]
+    assert np.max(np.abs(got - alone)) <= 1e-12
+    assert np.max(np.abs(got - looped)) <= 1e-12
+
+
+def test_star_and_face_counts_match_a_scan():
+    mesh = _hull_mesh(30, 4, 2)
+    for v in range(mesh.num_vertices):
+        assert mesh.star(v) == [s for s in mesh.simplices if v in s]
+    counts = Counter()
+    for s in mesh.simplices:
+        for drop in s:
+            counts[frozenset(i for i in s if i != drop)] += 1
+    got = mesh.face_counts()
+    assert got == counts
+    assert list(got) == list(counts)
+
+
+def _pinched(first):
+    """Two tetrahedron surfaces glued at one vertex, numbered ``first``."""
+    vertices = [(0.0, 0.0, 0.0),
+                (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+             (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
+    label = [first] + [i for i in range(7) if i != first]
+    moved = [None] * 7
+    for old, new in enumerate(label):
+        moved[new] = vertices[old]
+    return SimplicialImmersion(moved, [tuple(label[i] for i in f)
+                                       for f in faces])
+
+
+def _flat_simplex4(apex):
+    base = simplex4_boundary()
+    P = base.vertices.copy()
+    P[0] = apex
+    return SimplicialImmersion(P, base.simplices)
+
+
+def _error_cases():
+    base = simplex4_boundary()
+    tet = tetrahedron()
+    flat = {"code": "degenerate_tetrahedron",
+            "message": "tetrahedron is flat at the apex",
+            "location": {"gram_determinant": 0.0}}
+    yield pytest.param(
+        total_invariant_2,
+        SimplicialImmersion([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)]),
+        {"code": "open_mesh",
+         "message": "face [1, 2] belongs to 1 simplices, need 2",
+         "location": {"face": [1, 2], "count": 1}}, id="open")
+    yield pytest.param(
+        total_invariant_3,
+        SimplicialImmersion(base.vertices, base.simplices[1:]),
+        {"code": "open_mesh",
+         "message": "face [2, 3, 4] belongs to 1 simplices, need 2",
+         "location": {"face": [2, 3, 4], "count": 1}}, id="open_3")
+    for first in (0, 3):
+        yield pytest.param(
+            total_invariant_2, _pinched(first),
+            {"code": "link_not_sphere",
+             "message": f"link of vertex {first} is disconnected",
+             "location": {"vertex": first}}, id=f"pinched_{first}")
+    yield pytest.param(
+        total_invariant_2,
+        SimplicialImmersion([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                             (2.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+                            tet.simplices),
+        {"code": "degenerate_triangle",
+         "message": "triangle (0, 1, 2) is collinear",
+         "location": {"triangle": [0, 1, 2]}}, id="collinear")
+    yield pytest.param(
+        total_invariant_2,
+        SimplicialImmersion([(1.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                             (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+                            tet.simplices),
+        {"code": "zero_length_edge",
+         "message": "triangle (0, 1, 2) has a zero-length edge",
+         "location": {"triangle": [0, 1, 2]}}, id="zero_edge")
+    yield pytest.param(
+        total_invariant_2,
+        SimplicialImmersion([(5.0, 5.0, 5.0)] + tet.vertices.tolist(),
+                            [tuple(i + 1 for i in f)
+                             for f in tet.simplices]),
+        {"code": "mesh", "message": "vertex 0 belongs to no simplex"},
+        id="isolated")
+    yield pytest.param(total_invariant_3,
+                       _flat_simplex4((0.5, 0.5, 0.0, 0.0)), flat,
+                       id="flat_tetrahedron")
+    yield pytest.param(total_invariant_3,
+                       _flat_simplex4((1 / 3, 1 / 3, 1 / 3, 0.0)), flat,
+                       id="flat_tetrahedron_inexact")
+
+
+@pytest.mark.parametrize("total, mesh, payload", _error_cases())
+def test_total_error_payloads(total, mesh, payload):
+    with pytest.raises(MeshError) as exc:
+        total(mesh)
+    assert exc.value.payload() == payload
+
+
+def test_importing_the_package_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, gaussmap; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+
+def test_ragged_off_vertex_row_is_a_mesh_error(tmp_path):
+    path = tmp_path / "ragged.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1\n0 0 1\n"
+                    "3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n")
+    with pytest.raises(MeshError):
+        load_off(path)
+
+
+def test_ragged_json_vertex_row_is_a_mesh_error(tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1], [0, 0, 1]],
+        "simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}))
+    with pytest.raises(MeshError):
+        load_mesh_json(path)
+
+
+def test_non_integer_simplex_index_is_a_mesh_error(tmp_path):
+    path = tmp_path / "fraction.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simplices": [[0, 1, 2.5], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}))
+    with pytest.raises(MeshError, match="non-integer"):
+        load_mesh_json(path)
+    # an integral float still names its vertex
+    whole = SimplicialImmersion(tetrahedron().vertices,
+                                [[0.0, 1.0, 2.0], [0, 1, 3], [0, 2, 3],
+                                 [1, 2, 3]])
+    assert whole.simplices == tetrahedron().simplices
+
+
+@pytest.mark.parametrize("single, make", [
+    (exterior_angle_2, tetrahedron), (exterior_angle_3, simplex4_boundary)])
+def test_vertex_out_of_range_is_a_mesh_error(single, make):
+    mesh = make()
+    for v in (-1, mesh.num_vertices, mesh.num_vertices + 7):
+        with pytest.raises(MeshError, match="out of range"):
+            single(mesh, v)
