@@ -5,10 +5,18 @@ the constants ``pi`` and ``e``, the arithmetic operators ``+ - * / ^`` with
 ``^`` binding tightest and associating right, unary minus, and the functions
 sin cos tan exp log sqrt atan sinh cosh.
 
-Evaluation propagates value, gradient and Hessian in one pass.  Points may be
-a single parameter vector of shape ``(n,)`` or a batch of shape ``(n, ...)``;
-jet fields then carry matching trailing axes, which is what makes quadrature
-over large tensor grids cheap.
+One recursion evaluates every entry point: ``eval_jet2`` at order 2 (value,
+gradient and Hessian in one pass), ``eval_value`` and ``const_value`` at
+order 0.  A derivative that vanishes identically is a structural zero and is
+never stored, constants stay float64 scalars, and full arrays are formed only
+when a result is returned.  The domain rules (division by zero, log or sqrt
+of a non-positive argument, a zero base with a negative integer exponent, a
+non-integer exponent on a non-positive base) live in that recursion alone,
+so bounds, coordinates and form coefficients obey the same rules.
+
+Points may be a single parameter vector of shape ``(n,)`` or a batch of
+shape ``(n, ...)``; jet fields then carry matching trailing axes, which is
+what makes quadrature over large tensor grids cheap.
 """
 from __future__ import annotations
 
@@ -249,41 +257,6 @@ def substitute(e: Expr, replacements: dict[int, Expr]) -> Expr:
     return e
 
 
-def const_value(e: Expr) -> float | None:
-    """Value of a variable-free expression, else None."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        return None
-    if isinstance(e, Neg):
-        v = const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        a, b = const_value(e.left), const_value(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise ExprDomainError(f"division by zero in {to_text(e)}")
-            return a / b
-        if e.op == "^":
-            return float(a) ** float(b)
-    if isinstance(e, Call):
-        v = const_value(e.arg)
-        if v is None:
-            return None
-        return float(FUNCTIONS[e.func][0](v))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # jets
 
@@ -299,108 +272,154 @@ class Jet2:
     hess: np.ndarray   # (n, n, ...)
 
 
-def _outer(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+# Derivative arithmetic where None is a structural zero.  Sums are taken
+# pairwise, innermost first, so each temporary is freed as soon as it is
+# added, as in the plain left-to-right expression.
+
+def _add(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _sub(a, b):
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _mul(a, s):
+    return None if a is None else a * s
+
+
+def _div(a, s):
+    return None if a is None else a / s
+
+
+def _outer(ga, gb):
     # (n,...) x (n,...) -> (n,n,...)
+    if ga is None or gb is None:
+        return None
     return ga[:, None] * gb[None, :]
 
 
 def _first_bad(mask: np.ndarray, pts: np.ndarray) -> dict:
-    flat = np.argwhere(np.asarray(mask).reshape(-1))
+    """The point of ``pts`` (shape (n, ...)) at the first True entry of
+    ``mask`` in row-major order, or {} if there is none."""
+    flat = np.flatnonzero(mask)
     if flat.size == 0:
         return {}
-    j = int(flat[0][0])
-    t = pts.reshape(pts.shape[0], -1)[:, j]
+    t = np.reshape(pts, (len(pts), np.size(mask)))[:, flat[0]]
     return {"t": [float(v) for v in t]}
 
 
-def _eval(e: Expr, pts: np.ndarray):
-    n = pts.shape[0]
-    shape = pts.shape[1:]
+def _check(bad, what: str, e: Expr, pts: np.ndarray) -> None:
+    """Raise ExprDomainError at the first point where ``bad`` holds.
 
-    def zeros_g():
-        return np.zeros((n,) + shape)
-
-    def zeros_h():
-        return np.zeros((n, n) + shape)
-
-    if isinstance(e, Num):
-        return np.full(shape, e.value), zeros_g(), zeros_h()
-    if isinstance(e, Const):
-        return np.full(shape, CONSTANTS[e.name]), zeros_g(), zeros_h()
-    if isinstance(e, Var):
-        g = zeros_g()
-        g[e.index] = 1.0
-        return pts[e.index].copy(), g, zeros_h()
-    if isinstance(e, Neg):
-        v, g, h = _eval(e.arg, pts)
-        return -v, -g, -h
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            return _eval_pow(e, pts)
-        va, ga, ha = _eval(e.left, pts)
-        vb, gb, hb = _eval(e.right, pts)
-        if e.op == "+":
-            return va + vb, ga + gb, ha + hb
-        if e.op == "-":
-            return va - vb, ga - gb, ha - hb
-        if e.op == "*":
-            return (va * vb, ga * vb + va * gb,
-                    ha * vb + va * hb + _outer(ga, gb) + _outer(gb, ga))
-        if e.op == "/":
-            bad = vb == 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    f"division by zero in {to_text(e)}",
-                    location=_first_bad(bad, pts))
-            v = va / vb
-            g = (ga - v * gb) / vb
-            h = (ha - _outer(g, gb) - _outer(gb, g) - v * hb) / vb
-            return v, g, h
-    if isinstance(e, Call):
-        u, gu, hu = _eval(e.arg, pts)
-        if e.func in ("log", "sqrt"):
-            bad = u <= 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    f"{e.func} of non-positive argument in {to_text(e)}",
-                    location=_first_bad(bad, pts))
-        f, f1, f2 = FUNCTIONS[e.func]
-        d1 = f1(u)
-        return f(u), d1 * gu, d1 * hu + f2(u) * _outer(gu, gu)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _eval_pow(e: BinOp, pts: np.ndarray):
-    k = const_value(e.right)
-    va, ga, ha = _eval(e.left, pts)
-    if k is not None and float(k).is_integer():
-        k = int(k)
-        # integer exponents are valid for any base
-        if k < 0 and np.any(va == 0.0):
-            raise ExprDomainError(
-                f"zero base with negative exponent in {to_text(e)}",
-                location=_first_bad(va == 0.0, pts))
-        if k == 0:
-            z = np.zeros_like(ga)
-            return np.ones_like(va), z, np.zeros_like(ha)
-        v = va ** k
-        d1 = k * va ** (k - 1)
-        d2 = k * (k - 1) * (va ** (k - 2) if k != 1 else np.zeros_like(va))
-        return v, d1 * ga, d1 * ha + d2 * _outer(ga, ga)
-    # general exponent: positive base only
-    bad = va <= 0.0
+    ``bad`` is a scalar for a variable-free node; it is broadcast to the
+    batch only here, on the error path.  The error also carries the
+    failing node, the reason and the mask, for callers whose variables
+    have other names (form coefficients are written in p1..pC).
+    """
     if np.any(bad):
-        raise ExprDomainError(
-            f"non-integer exponent needs positive base in {to_text(e)}",
-            location=_first_bad(bad, pts))
-    vb, gb, hb = _eval(e.right, pts)
+        mask = np.broadcast_to(bad, pts.shape[1:])
+        err = ExprDomainError(f"{what} in {to_text(e)}",
+                              location=_first_bad(mask, pts))
+        err.node, err.reason, err.mask = e, what, mask
+        raise err
+
+
+def _jet(e: Expr, pts: np.ndarray, order: int):
+    """Value, gradient and Hessian of ``e`` on the batch ``pts`` (n, ...).
+
+    Order 0 forms values only: no variable carries a gradient, so every
+    derivative is a structural zero (None).  At order 2 a variable's
+    gradient is a unit vector shaped to broadcast against (n,) + batch.
+    A variable-free node has a float64 scalar value; every other value
+    has the batch shape.
+    """
+    if isinstance(e, Num):
+        return np.float64(e.value), None, None
+    if isinstance(e, Const):
+        return np.float64(CONSTANTS[e.name]), None, None
+    if isinstance(e, Var):
+        g = None
+        if order:
+            g = np.zeros((len(pts),) + (1,) * (pts.ndim - 1))
+            g[e.index] = 1.0
+        return pts[e.index], g, None
+    if isinstance(e, Neg):
+        v, g, h = _jet(e.arg, pts, order)
+        return -v, _sub(None, g), _sub(None, h)
+    if isinstance(e, Call):
+        u, gu, hu = _jet(e.arg, pts, order)
+        if e.func in ("log", "sqrt"):
+            _check(u <= 0.0, f"{e.func} of non-positive argument", e, pts)
+        f, f1, f2 = FUNCTIONS[e.func]
+        if gu is None:
+            return f(u), None, None
+        d1 = f1(u)
+        return (f(u), _mul(gu, d1),
+                _add(_mul(hu, d1), _mul(_outer(gu, gu), f2(u))))
+    if not isinstance(e, BinOp):
+        raise TypeError(f"not an Expr: {e!r}")
+    va, ga, ha = _jet(e.left, pts, order)
+    vb, gb, hb = _jet(e.right, pts, order)
+    if e.op == "+":
+        return va + vb, _add(ga, gb), _add(ha, hb)
+    if e.op == "-":
+        return va - vb, _sub(ga, gb), _sub(ha, hb)
+    if e.op == "*":
+        h = _add(_add(_mul(ha, vb), _mul(hb, va)), _outer(ga, gb))
+        return (va * vb, _add(_mul(ga, vb), _mul(gb, va)),
+                _add(h, _outer(gb, ga)))
+    if e.op == "/":
+        _check(vb == 0.0, "division by zero", e, pts)
+        v = va / vb
+        g = _div(_sub(ga, _mul(gb, v)), vb)
+        h = _sub(_sub(ha, _outer(g, gb)), _outer(gb, g))
+        return v, g, _div(_sub(h, _mul(hb, v)), vb)
+    if np.ndim(vb) == 0 and float(vb).is_integer():
+        # an exponent that folds to an integer accepts any base
+        if vb < 0:
+            _check(va == 0.0, "zero base with negative exponent", e, pts)
+        v = va ** vb
+        if ga is None or vb == 0:
+            return v, None, None
+        d1 = vb * va ** (vb - 1)
+        h2 = None if vb == 1 else _mul(_outer(ga, ga),
+                                       vb * (vb - 1) * va ** (vb - 2))
+        return v, _mul(ga, d1), _add(_mul(ha, d1), h2)
+    _check(va <= 0.0, "non-integer exponent needs positive base", e, pts)
+    v = va ** vb
+    if ga is None and gb is None:
+        return v, None, None
+    # d(a^b) = a^b q with q = b' log a + b a'/a
     lv = np.log(va)
-    v = np.exp(vb * lv)
-    q = gb * lv + vb * ga / va
-    # dq_ij = hb_ij*log a + (gb_i ga_j + ga_i gb_j)/a + b*ha_ij/a - b*ga_i ga_j/a^2
-    dq = (hb * lv + (_outer(gb, ga) + _outer(ga, gb)) / va
-          + vb * ha / va - vb * _outer(ga, ga) / va ** 2)
-    return v, v * q, v * (_outer(q, q) + dq)
+    q = _add(_mul(gb, lv), _div(_mul(ga, vb), va))
+    dq = _add(_mul(hb, lv), _div(_add(_outer(gb, ga), _outer(ga, gb)), va))
+    dq = _sub(_add(dq, _div(_mul(ha, vb), va)),
+              _div(_mul(_outer(ga, ga), vb), va ** 2))
+    return v, _mul(q, v), _mul(_add(_outer(q, q), dq), v)
+
+
+def _batch(point):
+    """``point`` as an (n, ...) batch, and whether it was a single (n,)
+    vector.  A single point becomes a batch of one, so that values that
+    depend on a variable are arrays and only variable-free ones scalars."""
+    pts = np.asarray(point, dtype=float)
+    if pts.ndim == 0:
+        raise ValueError("point must have shape (n,) or (n, ...)")
+    return (pts[:, None], True) if pts.ndim == 1 else (pts, False)
+
+
+def _full(a, shape: tuple, pts: np.ndarray) -> np.ndarray:
+    """``a`` as a full array of ``shape`` that does not alias ``pts``."""
+    if a is None:
+        return np.zeros(shape)
+    if np.shape(a) == shape and not np.may_share_memory(a, pts):
+        return a
+    return np.array(np.broadcast_to(a, shape))
 
 
 def eval_jet2(e: Expr, point) -> Jet2:
@@ -409,71 +428,31 @@ def eval_jet2(e: Expr, point) -> Jet2:
     ``point`` has shape (n,) for a single evaluation or (n, ...) for a batch;
     the returned jet fields carry the same trailing axes.
     """
-    pts = np.asarray(point, dtype=float)
-    if pts.ndim == 0:
-        raise ValueError("point must have shape (n,) or (n, ...)")
-    v, g, h = _eval(e, pts)
-    if pts.ndim == 1:
-        return Jet2(float(v), g, h)
+    pts, single = _batch(point)
+    v, g, h = _jet(e, pts, 2)
+    n, shape = pts.shape[0], pts.shape[1:]
+    v = _full(v, shape, pts)
+    g = _full(g, (n,) + shape, pts)
+    h = _full(h, (n, n) + shape, pts)
+    if single:
+        return Jet2(float(v[0]), g[:, 0], h[:, :, 0])
     return Jet2(v, g, h)
-
-
-def _eval_value(e: Expr, pts: np.ndarray):
-    shape = pts.shape[1:]
-    if isinstance(e, Num):
-        return np.full(shape, e.value)
-    if isinstance(e, Const):
-        return np.full(shape, CONSTANTS[e.name])
-    if isinstance(e, Var):
-        return pts[e.index].copy()
-    if isinstance(e, Neg):
-        return -_eval_value(e.arg, pts)
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            k = const_value(e.right)
-            va = _eval_value(e.left, pts)
-            if k is not None and float(k).is_integer():
-                k = int(k)
-                if k < 0 and np.any(va == 0.0):
-                    raise ExprDomainError(
-                        f"zero base with negative exponent in {to_text(e)}",
-                        location=_first_bad(va == 0.0, pts))
-                return va ** k
-            bad = va <= 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    f"non-integer exponent needs positive base in {to_text(e)}",
-                    location=_first_bad(bad, pts))
-            return va ** _eval_value(e.right, pts)
-        va = _eval_value(e.left, pts)
-        vb = _eval_value(e.right, pts)
-        if e.op == "+":
-            return va + vb
-        if e.op == "-":
-            return va - vb
-        if e.op == "*":
-            return va * vb
-        bad = vb == 0.0
-        if np.any(bad):
-            raise ExprDomainError(f"division by zero in {to_text(e)}",
-                                  location=_first_bad(bad, pts))
-        return va / vb
-    if isinstance(e, Call):
-        u = _eval_value(e.arg, pts)
-        if e.func in ("log", "sqrt"):
-            bad = u <= 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    f"{e.func} of non-positive argument in {to_text(e)}",
-                    location=_first_bad(bad, pts))
-        return FUNCTIONS[e.func][0](u)
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def eval_value(e: Expr, point) -> ArrayLike:
     """Evaluate the value alone; cheaper than a jet on large batches."""
-    pts = np.asarray(point, dtype=float)
-    if pts.ndim == 0:
-        raise ValueError("point must have shape (n,) or (n, ...)")
-    v = _eval_value(e, pts)
-    return float(v) if pts.ndim == 1 else v
+    pts, single = _batch(point)
+    v = _full(_jet(e, pts, 0)[0], pts.shape[1:], pts)
+    return float(v[0]) if single else v
+
+
+# A batch of no points, wide enough for any variable.  Each variable reads
+# an empty array, so a value comes out scalar exactly when the expression
+# is variable-free, and only variable-free nodes can fail a domain check.
+_NO_POINTS = np.empty((1 << 31, 0))
+
+
+def const_value(e: Expr) -> float | None:
+    """Value of a variable-free expression, else None."""
+    v = _jet(e, _NO_POINTS, 0)[0]
+    return float(v) if np.ndim(v) == 0 else None

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateMetric, ExprSyntaxError, FormSpecError,
-                     SingularForm)
+from .errors import (DegenerateMetric, ExprDomainError, ExprSyntaxError,
+                     FormSpecError, SingularForm)
 from .expr import Expr, Neg, eval_value, parse, to_text, _first_bad
 from .geometry import JetFrame, PlueckerVector, _det
 
@@ -255,6 +255,22 @@ def _parse_denom(text: str, num_components: int):
     return power, subset
 
 
+def _coefficient(phi: Expr, p, t=None):
+    """Values of a coefficient at the minor vectors ``p``.
+
+    A domain error names the minors ``p1..pC``, reports their values
+    under ``p`` and, when ``t`` is given, the parameter point under ``t``.
+    """
+    try:
+        return eval_value(phi, p)
+    except ExprDomainError as exc:
+        location = {} if t is None else _first_bad(exc.mask, t)
+        location["p"] = exc.location["t"]
+        raise ExprDomainError(
+            f"{exc.reason} in {to_text(exc.node, var_prefix='p')}",
+            location=location) from exc
+
+
 def _check_homogeneity(spec: PlueckerFormSpec) -> None:
     """Each coefficient must scale with degree ``power - n``."""
     h = spec.power - spec.n
@@ -263,11 +279,11 @@ def _check_homogeneity(spec: PlueckerFormSpec) -> None:
         ok = False
         for _ in range(8):
             p0 = rng.uniform(0.5, 1.5, size=spec.num_components)
-            base = eval_value(term.phi, p0)
+            base = _coefficient(term.phi, p0)
             if not np.isfinite(base) or abs(base) < 1e-9:
                 continue
             good = all(
-                abs(eval_value(term.phi, lam * p0) - lam ** h * base)
+                abs(_coefficient(term.phi, lam * p0) - lam ** h * base)
                 <= 1e-8 * abs(lam ** h * base)
                 for lam in (2.0, 3.0))
             if good:
@@ -374,7 +390,7 @@ def generic_pluecker_density(spec: PlueckerFormSpec,
     total = np.zeros(pv.p.shape[1:])
     for term in spec.terms:
         rows = pv.dp[list(term.wedge)][:, :spec.n]
-        total = total + eval_value(term.phi, pv.p) * _det(rows)
+        total = total + _coefficient(term.phi, pv.p, pv.t) * _det(rows)
     if spec.power:
         total = total / denom_sq ** (spec.power / 2.0)
     return total

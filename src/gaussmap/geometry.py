@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateJacobian, ZeroPlueckerVector
-from .expr import Expr, Jet2, eval_jet2, parse, _first_bad
+from .expr import Expr, eval_jet2, parse, _first_bad
 
 __all__ = [
     "ImmersionChart", "ConeChart", "JetFrame", "PlueckerVector",
@@ -96,18 +96,21 @@ class ConeChart:
         return cone_frame(self.funcs, self.slot, t)
 
 
-def _stack_jets(jets: Sequence[Jet2], t: np.ndarray) -> JetFrame:
-    x = np.stack([np.asarray(j.value, float) for j in jets])
-    jac = np.stack([j.grad for j in jets])
-    second = np.stack([j.hess for j in jets])
-    return JetFrame(t=t, x=x, jac=jac, second=second)
-
-
 def jacobian_frame(chart: ImmersionChart, t) -> JetFrame:
-    """Evaluate position, Jacobian and second derivatives of a chart."""
+    """Evaluate position, Jacobian and second derivatives of a chart.
+
+    Each coordinate's jet is copied into the frame as soon as it is
+    evaluated, so only one jet is held at a time.
+    """
     t = np.asarray(t, float)
-    jets = [eval_jet2(e, t) for e in chart.coords]
-    return _stack_jets(jets, t)
+    n, shape, N = t.shape[0], t.shape[1:], len(chart.coords)
+    x = np.empty((N,) + shape)
+    jac = np.empty((N, n) + shape)
+    second = np.empty((N, n, n) + shape)
+    for a, e in enumerate(chart.coords):
+        jet = eval_jet2(e, t)
+        x[a], jac[a], second[a] = jet.value, jet.grad, jet.hess
+    return JetFrame(t=t, x=x, jac=jac, second=second)
 
 
 def cone_frame(funcs: Sequence[Optional[Expr]], slot: int, t) -> JetFrame:

@@ -111,12 +111,6 @@ class IntegralResult:
     levels_used: int
     trace: tuple  # raw value per level
 
-    @property
-    def last_delta(self) -> Optional[float]:
-        if len(self.trace) < 2:
-            return None
-        return abs(self.trace[-1] - self.trace[-2])
-
 
 def integrate(density: Callable[[np.ndarray], np.ndarray],
               domain: DomainSpec,

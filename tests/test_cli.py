@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gaussmap
+from gaussmap import errors
 from gaussmap.cli import main
 from gaussmap.integrate import tensor_nodes
 from gaussmap.manifest import load_manifest
@@ -182,6 +183,46 @@ def test_manifest_error_carries_line(tmp_path):
     err = run_error("winding", path)
     assert err["code"] == "manifest"
     assert err["location"] == {"line": 5}
+
+
+ERROR_CODES = {cls.code for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.GaussMapError)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bound,coord,code,fragment", [
+    ("0^-1", "cos(t1)", "manifest", "bad bound"),
+    ("(-8)^(1/3)", "cos(t1)", "manifest", "bad bound"),
+    ("2^1025", "cos(t1)", "manifest", "must be finite"),
+    ("log(0)", "cos(t1)", "manifest", "log of non-positive argument"),
+    ("2*pi", "cos(t1)^(0^-1)", None, ""),
+    ("2*pi", "cos(t1)^((-8)^(1/3))", None, ""),
+    ("2*pi", "(2+cos(t1))^(2^1025)", None, ""),
+])
+def test_constant_folding_errors_are_structured(tmp_path, bound, coord, code,
+                                                fragment):
+    path = tmp_path / "fold.man"
+    path.write_text("kind: immersion\nn: 1\nambient: 2\n"
+                    f"x1 = {coord}\nx2 = sin(t1)\n"
+                    f"t1 in [0, {bound}) periodic\n")
+    err = run_error("winding", path)
+    assert err["code"] == (code or err["code"]) and err["code"] in ERROR_CODES
+    assert fragment in err["message"]
+
+
+def test_form_coefficient_domain_error_names_minors(tmp_path):
+    spec = tmp_path / "sqrt.form"
+    spec.write_text("- phi(sqrt(p1)*sqrt(p1)) d[2] ^ d[3] + phi(p2) d[1] ^ "
+                    "d[3] - phi(p3) d[1] ^ d[2] / |p|^3\n")
+    err = run_error("form", MANIFESTS / "sphere.man", "--spec", spec)
+    assert err["code"] == "expr_domain"
+    assert err["message"] == "sqrt of non-positive argument in sqrt(p1)"
+    # the parameter point under t, the minor values there under p
+    t, p = err["location"]["t"], err["location"]["p"]
+    assert len(t) == 2 and len(p) == 3 and p[0] <= 0.0
+    m = load_manifest(MANIFESTS / "sphere.man")
+    frame = m.chart.frame(np.array(t))
+    assert np.allclose(gaussmap.geometry.pluecker(frame).p, p, atol=1e-15)
 
 
 def test_density_dump_matches_quadrature(tmp_path):

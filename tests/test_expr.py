@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussmap.errors import ExprDomainError, ExprSyntaxError
 from gaussmap.expr import (BinOp, Call, Const, Neg, Num, Var, const_value,
-                           eval_jet2, parse, substitute, to_text)
+                           eval_jet2, eval_value, parse, substitute, to_text)
 
 
 # --- oracle ----------------------------------------------------------------
@@ -115,7 +116,9 @@ def test_roundtrip_examples():
 SAFE_FUNCS = ["sin", "cos", "exp", "atan", "sinh", "cosh"]
 
 
-def random_expr(rng, n, depth):
+def random_expr(rng, n, depth, general=False):
+    """A random expression; ``general`` adds powers with a non-integer or
+    variable exponent, and leaves the draws of the default unchanged."""
     if depth == 0:
         r = rng.random()
         if r < 0.5:
@@ -126,18 +129,24 @@ def random_expr(rng, n, depth):
     r = rng.random()
     if r < 0.55:
         op = rng.choice(["+", "-", "*"])
-        return BinOp(op, random_expr(rng, n, depth - 1),
-                     random_expr(rng, n, depth - 1))
+        return BinOp(op, random_expr(rng, n, depth - 1, general),
+                     random_expr(rng, n, depth - 1, general))
     if r < 0.7:
         # keep the divisor away from zero
-        d = BinOp("+", Call("cosh", random_expr(rng, n, depth - 1)),
+        d = BinOp("+", Call("cosh", random_expr(rng, n, depth - 1, general)),
                   Num(0.5))
-        return BinOp("/", random_expr(rng, n, depth - 1), d)
+        return BinOp("/", random_expr(rng, n, depth - 1, general), d)
     if r < 0.85:
-        return Call(str(rng.choice(SAFE_FUNCS)), random_expr(rng, n, depth - 1))
-    return BinOp("^", BinOp("+", Call("cosh", random_expr(rng, n, depth - 1)),
-                            Num(0.25)),
-                 Num(float(rng.integers(2, 4))))
+        return Call(str(rng.choice(SAFE_FUNCS)),
+                    random_expr(rng, n, depth - 1, general))
+    base = BinOp("+", Call("cosh", random_expr(rng, n, depth - 1, general)),
+                 Num(0.25))
+    if general and rng.random() < 0.5:
+        # (cosh(u) + 0.25)^1.7 or (cosh(u) + 0.25)^t2
+        if rng.random() < 0.5:
+            return BinOp("^", base, Num(round(float(rng.uniform(-2, 2)), 3)))
+        return BinOp("^", base, Var(int(rng.integers(n))))
+    return BinOp("^", base, Num(float(rng.integers(2, 4))))
 
 
 def test_roundtrip_random_expressions():
@@ -291,3 +300,59 @@ def test_substitute_reparametrizes():
     t = np.array([0.8])
     inner = 0.8 + 0.5 * math.sin(0.8)
     assert eval_jet2(sub, t).value == pytest.approx(math.cos(inner), rel=1e-15)
+
+
+# --- one evaluator behind three entry points --------------------------------
+
+def _outcome(f, *args):
+    """The result of ``f``, or the message of the ExprDomainError it raises."""
+    try:
+        return f(*args)
+    except ExprDomainError as exc:
+        return exc.message
+
+
+def _same_bits(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 4))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entry_points_agree(seed, depth):
+    rng = np.random.default_rng(seed)
+    e = random_expr(rng, 2, depth, general=True)
+    point = rng.uniform(-1.5, 1.5, size=(2, 3, 4))
+    # values alone are the values of the jet, bit for bit, or the same error
+    jet = _outcome(eval_jet2, e, point)
+    value = _outcome(eval_value, e, point)
+    assert _same_bits(value, jet if isinstance(jet, str) else jet.value)
+
+    # constant folding is evaluation without variables
+    folded = substitute(e, {i: Num(round(float(c), 3))
+                            for i, c in enumerate(rng.uniform(-1.5, 1.5, 2))})
+    assert _same_bits(_outcome(const_value, folded),
+                      _outcome(eval_value, folded, []))
+
+    # full batch shape, and nothing aliases the caller's points
+    before = point.copy()
+    for node in (Var(1), Num(0.5), e):
+        jet = _outcome(eval_jet2, node, point)
+        if isinstance(jet, str):
+            continue
+        assert jet.value.shape == (3, 4)
+        assert jet.grad.shape == (2, 3, 4)
+        assert jet.hess.shape == (2, 2, 3, 4)
+        for field in (jet.value, jet.grad, jet.hess,
+                      eval_value(node, point)):
+            field[...] = 7.0
+        assert np.array_equal(point, before)
+
+
+def test_const_value_errors_carry_no_location():
+    with pytest.raises(ExprDomainError) as exc:
+        const_value(parse("1/(2 - 2)", 0))
+    assert exc.value.message == "division by zero in (1.0 / (2.0 - 2.0))"
+    assert exc.value.location == {}

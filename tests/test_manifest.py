@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gaussmap.errors import ManifestError
+from gaussmap.errors import GaussMapError, ManifestError
 from gaussmap.geometry import ConeChart, ImmersionChart
 from gaussmap.invariants import projective_invariants, winding_number
 from gaussmap.manifest import load_manifest, parse_manifest
@@ -177,6 +177,28 @@ def test_bad_bounds():
     expect_error(CIRCLE.replace("[0, 2*pi)", "[1, 0)"), "", line=7)
     expect_error(CIRCLE.replace("[0, 2*pi)", "[0, 1/0)"), "bad bound",
                  line=7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bound", ["0^-1", "(-8)^(1/3)", "2^1025"])
+def test_bounds_that_fail_to_fold(bound):
+    err = expect_error(CIRCLE.replace("[0, 2*pi)", f"[0, {bound})"), "",
+                       line=7)
+    assert "bad bound" in err.message or "must be finite" in err.message
+
+
+def test_bound_domain_error_names_the_function():
+    expect_error(CIRCLE.replace("[0, 2*pi)", "[log(0), 1)"),
+                 "log of non-positive argument", line=7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("coord", ["cos(t1)^(0^-1)", "cos(t1)^((-8)^(1/3))",
+                                   "(2+cos(t1))^(2^1025)"])
+def test_coordinates_that_fail_to_fold(coord):
+    m = parse_manifest(CIRCLE.replace("x1 = cos(t1)", f"x1 = {coord}"))
+    with pytest.raises(GaussMapError):
+        winding_number(m.chart, m.domain, m.quad)
 
 
 def test_bad_quadrature_settings():
