@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import GaussMapError, ManifestError, MeshError
 from .forms import canonical_density, parse_form_spec
-from .geometry import ConeChart, ImmersionChart, immersion_check, pluecker
+from .geometry import ConeChart, ImmersionChart
 from .integrate import QuadratureSpec, tensor_nodes
 from .invariants import (euler_characteristic, form_invariant, gauss_degree,
-                         kaehler_invariant, projective_invariants,
-                         winding_number)
+                         kaehler_invariant, level_stage,
+                         projective_invariants, winding_number)
 from .manifest import Manifest, load_manifest
 from .polyhedral import (exterior_angle_2, exterior_angle_3, load_mesh_json,
                          load_off, total_invariant_2, total_invariant_3)
@@ -175,9 +175,8 @@ def cmd_density_dump(args) -> dict:
     if grid < 2:
         raise UsageError(f"--grid must be at least 2, got {grid}")
     pts, _ = tensor_nodes(m.domain, grid)
-    frame = m.chart.frame(pts)
-    immersion_check(frame)
-    density = canonical_density(pluecker(frame))
+    _, pv = level_stage(m.chart)(pts)
+    density = canonical_density(pv)
     n = m.domain.n
     flat_pts = pts.reshape(n, -1)
     flat_density = np.asarray(density, float).reshape(-1)
@@ -290,6 +289,30 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by ``None``."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _emit(doc, indent=None) -> None:
+    """Print ``doc`` as strict JSON, with non-finite floats as null."""
+    try:
+        text = json.dumps(doc, indent=indent, allow_nan=False,
+                          default=_jsonify)
+    except ValueError:
+        text = json.dumps(_finite(doc), indent=indent, allow_nan=False,
+                          default=_jsonify)
+    print(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -298,13 +321,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except GaussMapError as exc:
-        print(json.dumps({"error": exc.payload()}, default=_jsonify))
+        _emit({"error": exc.payload()})
         return 1
     except OSError as exc:
-        print(json.dumps({"error": {"code": "io", "message": str(exc)}}))
+        _emit({"error": {"code": "io", "message": str(exc)}})
         return 1
-    print(json.dumps(report, indent=2 if args.pretty else None,
-                     default=_jsonify))
+    _emit(report, indent=2 if args.pretty else None)
     return 0
 
 

@@ -10,6 +10,7 @@ ambient axis, otherwise lexicographically by the selected axis set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -155,7 +156,11 @@ def minor_index_sets(n: int, ambient_dim: int) -> tuple:
     return tuple(itertools.combinations(range(ambient_dim), n))
 
 
-def immersion_check(frame: JetFrame, eps: float = 1e-9) -> None:
+# the rank test's threshold, shared with the certificate of ``check_minors``
+_RANK_EPS = 1e-9
+
+
+def immersion_check(frame: JetFrame, eps: float = _RANK_EPS) -> None:
     """Raise if the Jacobian is rank-deficient anywhere on the frame.
 
     The smallest singular value at each point must exceed ``eps`` times
@@ -251,17 +256,57 @@ def pluecker(frame: JetFrame, check: bool = True) -> PlueckerVector:
                     p[c] += block[0][a] * cof
                 dp[c] += cof * Dt[r, col]
     norm = np.sqrt(np.sum(p * p, axis=0))
-
+    pv = PlueckerVector(indices=index_sets, p=p, dp=dp, norm=norm, t=frame.t)
     if check:
-        # Hadamard bound on the minors gives a scale-free zero test
-        row_norms = np.sqrt(np.sum(At * At, axis=1))
-        bound = np.prod(row_norms, axis=0)
-        bad = ~(norm > 1e-12 * bound) | ~np.isfinite(norm)
-        if np.any(bad):
-            location = _first_bad(np.asarray(bad), frame.t)
-            location["norm"] = float(np.min(norm))
-            raise ZeroPlueckerVector(
-                "tangent-plane coordinates vanish on the evaluation set",
-                location=location)
-    return PlueckerVector(indices=index_sets, p=p, dp=dp, norm=norm,
-                          t=frame.t)
+        _zero_minor_check(pv, _column_sq_norms(frame))
+    return pv
+
+
+def _column_sq_norms(frame: JetFrame) -> np.ndarray:
+    """Squared Jacobian column norms ``|d x / d t_j|^2``, ``(n, ...)``."""
+    At = np.moveaxis(frame.jac, 0, 1)
+    return np.sum(At * At, axis=1)
+
+
+def _zero_minor_check(pv: PlueckerVector, col_sq: np.ndarray) -> None:
+    """Hadamard bound on the minors: a scale-free zero test."""
+    bound = np.prod(np.sqrt(col_sq), axis=0)
+    bad = ~(pv.norm > 1e-12 * bound) | ~np.isfinite(pv.norm)
+    if np.any(bad):
+        location = _first_bad(np.asarray(bad), pv.t)
+        location["norm"] = float(np.min(pv.norm))
+        raise ZeroPlueckerVector(
+            "tangent-plane coordinates vanish on the evaluation set",
+            location=location)
+
+
+def check_minors(frame: JetFrame, pv: PlueckerVector) -> None:
+    """The rank test of ``immersion_check`` and the zero-minor test of
+    ``pluecker``, with the SVD skipped where the minors suffice.
+
+    ``|p|`` is the product of the singular values (Cauchy-Binet), and
+    the other ``n - 1`` multiply to at most ``sqrt(e)``, ``e`` the
+    elementary symmetric polynomial of degree ``n - 1`` in the squared
+    column norms ``s`` (Hadamard on the compound matrix; ``e = 1`` for
+    ``n = 1``).  So ``sigma_min >= |p| / sqrt(e)``, tight for orthogonal
+    columns, and ``sigma_max <= sqrt(tr)``, ``tr = |J|_F^2``.  When every
+    point's bound clears ``2 eps sqrt(max tr)``, the factor 2 covering
+    the rounding of ``|p|``, the rank test passes; otherwise
+    ``immersion_check`` decides, so the decision and the payload are
+    the SVD's.  A certified frame also passes the zero-minor test, for
+    every ``n``: ``|p| > 2 eps sqrt(e_{n-1}(s) e_1(s)) >= 2 eps n
+    sqrt(e_n(s))`` (Maclaurin), and ``sqrt(e_n(s))`` is the Hadamard
+    bound ``prod |d x / d t_j|``.  So that test runs only after a
+    fallback, and after the rank test, which keeps
+    ``DegenerateJacobian`` first.
+    """
+    col_sq = _column_sq_norms(frame)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = sum(np.prod(np.delete(col_sq, j, axis=0), axis=0)
+                for j in range(frame.n))
+        lower = pv.norm / np.sqrt(e)
+    floor = 2.0 * _RANK_EPS * math.sqrt(np.max(np.sum(col_sq, axis=0)))
+    # NaN fails every comparison, so it falls through to the SVD
+    if not (floor < np.min(lower) and np.max(pv.norm) < math.inf):
+        immersion_check(frame)
+        _zero_minor_check(pv, col_sq)

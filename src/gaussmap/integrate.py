@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GaussMapError
 
 __all__ = [
     "Interval", "DomainSpec", "QuadratureSpec", "IntegralResult",
@@ -112,6 +112,14 @@ class IntegralResult:
     trace: tuple  # raw value per level
 
 
+# A level's working set is estimated at 1 KB a point, the tracemalloc peak
+# per point of a 64^3 level of the 3-sphere in R^4 (degree route).  The
+# same figure is applied to every dimension: the drivers measured 152 B
+# (curves in the plane), 480 B (surfaces in R^3, both routes) and 664 B
+# (surfaces in R^4), and a plain density may need far less.
+LEVEL_BUDGET_BYTES = 4 << 30
+
+
 def integrate(density: Callable[[np.ndarray], np.ndarray],
               domain: DomainSpec,
               quad: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
@@ -120,17 +128,72 @@ def integrate(density: Callable[[np.ndarray], np.ndarray],
     ``density`` receives points of shape ``(n, ...)`` and must return
     values of the trailing batch shape.
     """
-    trace = []
+    return integrate_kernels(lambda pts: (pts,), (density,), domain, quad)[0]
+
+
+def integrate_kernels(stage: Callable, kernels: Sequence[Callable],
+                      domain: DomainSpec,
+                      quad: QuadratureSpec = QuadratureSpec()) -> tuple:
+    """Integrate several densities that share one per-level stage.
+
+    Each level runs ``stage(pts)`` once and calls every active kernel on
+    its result, ``kernel(*stage(pts))``.  A kernel stops once its last two
+    levels agree; one ``IntegralResult`` is returned per kernel.
+
+    Errors surface in the order of running the kernels one after another
+    through all their levels.  A stage error raises at once.  A kernel's
+    ``GaussMapError`` drops it and every later kernel, and raises once no
+    earlier kernel is still running.  A level whose estimated working set
+    (1 KB a point, whatever the dimension) exceeds ``LEVEL_BUDGET_BYTES``
+    is refused before it is allocated.
+    """
+    traces = [[] for _ in kernels]
+    results = [None] * len(kernels)
+    active = list(range(len(kernels)))
+    failure = None
     for level in range(quad.max_levels):
+        if not active:
+            break
         m = quad.grid * (1 << level)
+        points = m ** domain.n
+        estimate = points * 1024
+        if estimate > LEVEL_BUDGET_BYTES:
+            raise DomainError(
+                f"quadrature level {level + 1} ({m} nodes per axis, "
+                f"{points} points) needs about {estimate} bytes, over the "
+                f"{LEVEL_BUDGET_BYTES}-byte level budget",
+                location={"level": level + 1, "nodes": m,
+                          "points": points, "bytes": estimate})
         pts, weights = tensor_nodes(domain, m)
-        values = np.asarray(density(pts), float)
-        trace.append(float(np.sum(values * weights)))
-        if level > 0 and abs(trace[-1] - trace[-2]) < quad.tol_conv:
-            return IntegralResult(value=trace[-1], converged=True,
-                                  levels_used=level + 1, trace=tuple(trace))
-    return IntegralResult(value=trace[-1], converged=False,
-                          levels_used=quad.max_levels, trace=tuple(trace))
+        state = stage(pts)
+        for i in list(active):
+            try:
+                values = np.asarray(kernels[i](*state), float)
+            except GaussMapError as exc:
+                if i == active[0]:
+                    raise
+                # keep the error without its traceback, which would pin
+                # this level's arrays while the earlier kernels run on
+                failure = exc.with_traceback(None)
+                active = active[:active.index(i)]
+                break
+            traces[i].append(float(np.sum(values * weights)))
+            del values
+            trace = traces[i]
+            if level > 0 and abs(trace[-1] - trace[-2]) < quad.tol_conv:
+                results[i] = IntegralResult(
+                    value=trace[-1], converged=True, levels_used=level + 1,
+                    trace=tuple(trace))
+                active.remove(i)
+        # free this level before the next one is built
+        del pts, weights, state
+    if failure is not None:
+        raise failure
+    for i in active:
+        results[i] = IntegralResult(
+            value=traces[i][-1], converged=False,
+            levels_used=quad.max_levels, trace=tuple(traces[i]))
+    return tuple(results)
 
 
 def normalization_constant(n: int, convention: str = "sphere") -> float:

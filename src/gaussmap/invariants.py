@@ -1,26 +1,25 @@
 """Integer invariants of closed immersed charts.
 
-Each driver integrates a density over the parameter domain, divides by
-the matching normalization constant and certifies the nearest integer.
-Degeneracies are checked on every quadrature grid, so a chart that
-loses rank anywhere the integrator looks fails loudly with the offending
-parameter point.
+Each driver names the densities it needs; one level loop integrates
+them together over the parameter domain, building each level's frame
+and minors once.  The driver divides by the matching normalization
+constant and certifies the nearest integer.  Degeneracies are checked on
+every quadrature grid, so a chart that loses rank anywhere the
+integrator looks fails loudly with the offending parameter point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional
 
 from .errors import CertificationFailed, DomainError, FormSpecError
 from .forms import (PlueckerFormSpec, canonical_density, gauss_bonnet_density,
                     generic_pluecker_density, kaehler_density,
                     projective_density)
-from .geometry import (ConeChart, ImmersionChart, JetFrame, immersion_check,
+from .geometry import (ConeChart, ImmersionChart, check_minors,
                        minor_index_sets, pluecker)
 from .integrate import (DomainSpec, IntegralResult, QuadratureSpec, certify,
-                        integrate, normalization_constant)
+                        integrate_kernels)
 
 __all__ = [
     "InvariantReport", "ProjectiveInvariants", "winding_number",
@@ -59,12 +58,23 @@ class InvariantReport:
         }
 
 
-def _checked_density(chart, kernel: Callable[[JetFrame], np.ndarray]):
-    def density(pts):
+def level_stage(chart):
+    """The shared part of a quadrature level: the chart's frame, its
+    minors, and the rank and zero-minor tests, as ``(frame, pv)``."""
+    def stage(pts):
         frame = chart.frame(pts)
-        immersion_check(frame)
-        return kernel(frame)
-    return density
+        pv = pluecker(frame, check=False)
+        check_minors(frame, pv)
+        return frame, pv
+    return stage
+
+
+def _degree(frame, pv):
+    return canonical_density(pv)
+
+
+def _curvature(frame, pv):
+    return gauss_bonnet_density(frame)
 
 
 def _report(kind: str, res: IntegralResult, n: int, quad: QuadratureSpec,
@@ -88,8 +98,7 @@ def winding_number(chart: ImmersionChart, domain: DomainSpec,
     """
     if chart.n != 1 or chart.ambient_dim != 2:
         raise ValueError("winding numbers are for plane curves")
-    density = _checked_density(chart, lambda f: canonical_density(pluecker(f)))
-    res = integrate(density, domain, quad)
+    res, = integrate_kernels(level_stage(chart), (_degree,), domain, quad)
     report = _report("winding", res, 1, quad, convention)
     turning = None if report.k is None else -report.k
     return replace(report, extras={"turning_number": turning})
@@ -108,18 +117,17 @@ def gauss_degree(chart: ImmersionChart, domain: DomainSpec,
     n = chart.n
     if chart.ambient_dim != n + 1:
         raise ValueError("degree route needs codimension one")
-    density = _checked_density(chart, lambda f: canonical_density(pluecker(f)))
-    res = integrate(density, domain, quad)
-    report = _report("gauss_degree", res, n, quad, convention)
-
     if cross_check is None:
         cross_check = (n == 2)
+    if cross_check and n != 2:
+        raise ValueError("curvature cross-check exists only for "
+                         "surfaces in 3-space")
+    kernels = (_degree, _curvature) if cross_check else (_degree,)
+    results = integrate_kernels(level_stage(chart), kernels, domain, quad)
+    res = results[0]
+    report = _report("gauss_degree", res, n, quad, convention)
     if cross_check:
-        if n != 2:
-            raise ValueError("curvature cross-check exists only for "
-                             "surfaces in 3-space")
-        alt = integrate(_checked_density(chart, gauss_bonnet_density),
-                        domain, quad)
+        alt = results[1]
         diff = abs(alt.value - res.value)
         checks = {"curvature_route": {
             "raw": alt.value,
@@ -167,8 +175,9 @@ def kaehler_invariant(chart: ImmersionChart, domain: DomainSpec,
         raise FormSpecError(
             f"the complex pairing needs an even number of minors; a "
             f"surface in R^{chart.ambient_dim} has {minors}")
-    density = _checked_density(chart, lambda f: kaehler_density(pluecker(f)))
-    res = integrate(density, domain, quad)
+    res, = integrate_kernels(
+        level_stage(chart), (lambda frame, pv: kaehler_density(pv),),
+        domain, quad)
     if certify_2pi:
         return _report("kaehler", res, 2, quad, "2pi")
     return InvariantReport(
@@ -212,11 +221,11 @@ def projective_invariants(cone: ConeChart, domain: DomainSpec,
         if len(alpha) != 3:
             raise ValueError("need exactly three weights")
 
+    kernels = tuple(lambda frame, pv, i=i: projective_density(i, pv)
+                    for i in range(3))
+    results = integrate_kernels(level_stage(cone), kernels, domain, quad)
     reports = []
-    for i in range(3):
-        density = _checked_density(
-            cone, lambda f, i=i: projective_density(i, pluecker(f)))
-        res = integrate(density, domain, quad)
+    for i, res in enumerate(results):
         cert = certify(res.value, 1, quad.tol_cert, "sphere")
         reports.append(InvariantReport(
             kind=f"projective_chart_{i}", raw=res.value,
@@ -241,7 +250,8 @@ def form_invariant(chart, spec: PlueckerFormSpec, domain: DomainSpec,
     for forms that are not degree forms the integer slot may simply stay
     empty.
     """
-    density = _checked_density(
-        chart, lambda f: generic_pluecker_density(spec, pluecker(f)))
-    res = integrate(density, domain, quad)
+    res, = integrate_kernels(
+        level_stage(chart),
+        (lambda frame, pv: generic_pluecker_density(spec, pv),),
+        domain, quad)
     return _report("form", res, spec.n, quad, convention)

@@ -298,3 +298,20 @@ def test_console_script():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["k"] == -1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_non_finite_payload_values_are_written_as_null(tmp_path):
+    man = tmp_path / "overflow.man"
+    man.write_text("kind: immersion\nn: 1\nambient: 2\n"
+                   "x1 = (2+cos(t1))^(2^1025)\nx2 = sin(t1)\n"
+                   "t1 in [0, 2*pi) periodic\n")
+    with np.errstate(all="ignore"):
+        code, out = run_cli("winding", man)
+    assert code == 1
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["error"]["code"] == "degenerate_jacobian"
+    assert doc["error"]["location"]["sigma_min"] is None

@@ -3,13 +3,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaussmap.errors import DegenerateJacobian, ZeroPlueckerVector
+import gaussmap.geometry
+from gaussmap.errors import (DegenerateJacobian, GaussMapError,
+                             ZeroPlueckerVector)
 from gaussmap.forms import canonical_density, gauss_bonnet_density
 from gaussmap.geometry import (
-    ConeChart, ImmersionChart, JetFrame, cone_frame, immersion_check,
-    jacobian_frame, minor_index_sets, pluecker, _det,
+    ConeChart, ImmersionChart, JetFrame, check_minors, cone_frame,
+    immersion_check, jacobian_frame, minor_index_sets, pluecker, _det,
 )
+from gaussmap.integrate import DomainSpec, Interval, tensor_nodes
 
 
 def oracle_minors(jac, index_sets):
@@ -278,3 +282,67 @@ def test_zero_minor_vector_backstop():
     collapsed = ImmersionChart(["t1", "t1", "t1"], 2)
     with pytest.raises(ZeroPlueckerVector):
         pluecker(collapsed.frame([0.4, 0.9]))
+
+
+# --- the rank test from the minors --------------------------------------------
+
+def _outcome(call):
+    try:
+        call()
+    except GaussMapError as exc:
+        return type(exc), exc.payload()
+    return None
+
+
+def _frame_from_singular_values(rng, N, sing):
+    """A frame whose Jacobian at point ``b`` has singular values
+    ``sing[b]``, between random rotations."""
+    k, n = sing.shape
+    jac = np.empty((N, n, k))
+    for b in range(k):
+        U, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        jac[:, :, b] = U[:, :n] @ np.diag(sing[b]) @ V.T
+    return JetFrame(t=rng.uniform(-3, 3, size=(n, k)), x=np.zeros((N, k)),
+                    jac=jac, second=np.zeros((N, n, n, k)))
+
+
+_log_ratio = st.one_of(st.floats(-12.0, 0.0), st.floats(-9.6, -8.4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_ratios=st.lists(_log_ratio, min_size=1, max_size=4))
+def test_rank_test_from_minors_matches_the_svd(n, extra, seed, log_ratios):
+    """The minors' certificate with its SVD fallback decides exactly as
+    ``immersion_check`` followed by the zero-minor test of ``pluecker``,
+    with the same class, code, location and payload."""
+    rng = np.random.default_rng(seed)
+    sing = [np.ones(n)]  # one full-rank point sets the frame-wide scale
+    for r in log_ratios:
+        scale = 10.0 ** rng.uniform(-0.5, 0.5)
+        inner = 10.0 ** (r * rng.uniform(0, 1, size=n - 1))
+        sing.append(scale * np.sort(np.append(inner, 10.0 ** r))[::-1])
+    frame = _frame_from_singular_values(rng, n + extra, np.array(sing))
+    pv = pluecker(frame, check=False)
+
+    def old():
+        immersion_check(frame)
+        pluecker(frame)
+
+    assert _outcome(lambda: check_minors(frame, pv)) == _outcome(old)
+
+
+def test_healthy_solid_level_needs_no_svd(monkeypatch):
+    """Near the poles of a round 3-sphere the singular values spread over
+    three decades, yet the bound from the minors still certifies."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD fallback ran")
+    monkeypatch.setattr(gaussmap.geometry, "immersion_check", refuse)
+    chart = ImmersionChart(["cos(t1)*sin(t2)*sin(t3)", "sin(t1)*sin(t2)*sin(t3)",
+                            "cos(t2)*sin(t3)", "cos(t3)"], 3)
+    dom = DomainSpec([Interval(0, 2 * np.pi, periodic=True),
+                      Interval(0, np.pi), Interval(0, np.pi)])
+    frame = chart.frame(tensor_nodes(dom, 32)[0])
+    check_minors(frame, pluecker(frame, check=False))

@@ -7,7 +7,7 @@ import pytest
 from gaussmap.errors import DomainError
 from gaussmap.integrate import (
     Certification, DomainSpec, Interval, QuadratureSpec, certify, integrate,
-    normalization_constant, tensor_nodes,
+    integrate_kernels, normalization_constant, tensor_nodes,
 )
 
 
@@ -111,3 +111,63 @@ def test_certify_rejects_far_value_but_reports_residual():
 def test_certify_negative_integers():
     cert = certify(-2 * math.pi * (1 - 1e-10), n=1)
     assert cert.k == -1
+
+
+def _failing_kernel(tag, at_level, levels):
+    """A kernel that records each call, raises at level ``at_level`` and
+    never converges before."""
+    def kernel(pts):
+        levels.append(tag)
+        if levels.count(tag) == at_level + 1:
+            raise DomainError(tag)
+        return np.full(pts.shape[1:], float(levels.count(tag)))
+    return kernel
+
+
+def test_kernels_share_one_stage_per_level():
+    dom = DomainSpec([Interval(0.0, 2 * math.pi, periodic=True)])
+    stages = []
+
+    def stage(pts):
+        stages.append(pts.shape)
+        return (pts,)
+    kernels = (lambda t: np.sin(t[0]) ** 2, lambda t: np.cos(t[0]) ** 2,
+               lambda t: np.exp(np.sin(t[0])))
+    results = integrate_kernels(stage, kernels, dom, QuadratureSpec(grid=8))
+    for kernel, res in zip(kernels, results):
+        assert res == integrate(kernel, dom, QuadratureSpec(grid=8))
+    assert len(stages) == max(r.levels_used for r in results)
+
+
+def test_kernel_errors_surface_in_sequential_order():
+    dom = DomainSpec([Interval(0.0, 1.0)])
+    quad = QuadratureSpec(grid=8, max_levels=4)
+    stage = lambda pts: (pts,)
+    # kernel 1 fails first in time, but kernel 0 would have failed first
+    # had each run through all its levels alone
+    levels = []
+    kernels = (_failing_kernel("a", 3, levels), _failing_kernel("b", 0, levels),
+               _failing_kernel("c", 0, levels))
+    with pytest.raises(DomainError, match="a"):
+        integrate_kernels(stage, kernels, dom, quad)
+    assert levels == ["a", "b", "a", "a", "a"]
+    # once the earlier kernel converges, the later error is raised
+    levels = []
+    kernels = (lambda t: np.ones(t.shape[1:]), _failing_kernel("b", 2, levels),
+               _failing_kernel("c", 0, levels))
+    with pytest.raises(DomainError, match="b"):
+        integrate_kernels(stage, kernels, dom, quad)
+    assert levels == ["b", "c", "b", "b"]
+
+
+def test_stage_error_raises_at_once():
+    dom = DomainSpec([Interval(0.0, 1.0)])
+
+    def stage(pts):
+        if pts.shape[1] > 8:
+            raise DomainError("stage")
+        return (pts,)
+    levels = []
+    kernels = (lambda t: np.ones(t.shape[1:]), _failing_kernel("b", 0, levels))
+    with pytest.raises(DomainError, match="stage"):
+        integrate_kernels(stage, kernels, dom, QuadratureSpec(grid=8))

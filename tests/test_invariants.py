@@ -1,12 +1,13 @@
 """Certified invariants against closed-form cases and a polyline oracle."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from gaussmap.errors import (CertificationFailed, DegenerateJacobian,
-                             DomainError)
+                             DomainError, SingularForm)
 from gaussmap.forms import parse_form_spec
 from gaussmap.geometry import ConeChart, ImmersionChart
 from gaussmap.integrate import DomainSpec, Interval, QuadratureSpec
@@ -225,3 +226,73 @@ def test_report_serializes_to_json():
     assert payload["kind"] == "winding"
     assert payload["k"] == -1
     assert isinstance(payload["trace"], list)
+
+
+# --- one level engine -----------------------------------------------------------
+
+def _count_frames(chart):
+    calls = []
+    build = chart.frame
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return build(t)
+    chart.frame = counted
+    return calls
+
+
+@pytest.mark.parametrize("coords", [SPHERE, TORUS])
+def test_euler_builds_one_frame_per_level(coords):
+    chart = ImmersionChart(coords, 2)
+    calls = _count_frames(chart)
+    dom = SPHERE_DOM if coords is SPHERE else TORUS_DOM
+    rep = euler_characteristic(chart, dom)
+    assert rep.cross_checks["curvature_route"]["converged"]
+    assert len(calls) == rep.levels_used
+    assert len(set(calls)) == len(calls)
+
+
+def test_projective_builds_one_cone_frame_per_level():
+    cone = ConeChart([None, "cos(t1)", "sin(t1)"], 1)
+    calls = _count_frames(cone)
+    res = projective_invariants(cone, CIRCLE_DOM)
+    assert len(calls) == max(r.levels_used for r in res.charts)
+    assert len(set(calls)) == len(calls)
+
+
+def test_later_chart_error_waits_for_the_earlier_charts():
+    # chart 2's form is singular at t = 0, a node of every level; chart
+    # 1's at t = pi/16, first a node at the second level; chart 0 is
+    # clean.  Run one after another, chart 1 fails first.
+    cone = ConeChart([None, "1 - cos(t1 - pi/16)", "1 - cos(t1)"], 1)
+    with pytest.raises(SingularForm) as exc:
+        projective_invariants(cone, CIRCLE_DOM)
+    assert exc.value.payload() == {
+        "code": "singular_form",
+        "message": "curve meets the singular locus of the chart form",
+        "location": {"t": [0.19634954084936207], "chart_index": 1}}
+
+
+def test_collapsed_chart_still_fails_the_rank_test():
+    collapsed = ImmersionChart(["t1", "t1", "t1"], 2)
+    with pytest.raises(DegenerateJacobian) as exc:
+        gauss_degree(collapsed, SPHERE_DOM)
+    assert exc.value.payload() == {
+        "code": "degenerate_jacobian",
+        "message": "Jacobian loses rank on the evaluation set",
+        "location": {"t": [0.0, 0.016648972382576677], "sigma_min": 0.0}}
+
+
+def test_unaffordable_level_is_refused_before_allocation():
+    chart = ImmersionChart(["cos(t1)*sin(t2)*sin(t3)",
+                            "sin(t1)*sin(t2)*sin(t3)",
+                            "cos(t2)*sin(t3)", "cos(t3)"], 3)
+    dom = DomainSpec([Interval(0, 2 * math.pi, periodic=True),
+                      Interval(0, math.pi), Interval(0, math.pi)])
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as exc:
+        gauss_degree(chart, dom, QuadratureSpec(grid=256))
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.location == {"level": 1, "nodes": 256,
+                                  "points": 256 ** 3,
+                                  "bytes": 256 ** 3 * 1024}
