@@ -5,14 +5,16 @@ the constants ``pi`` and ``e``, the arithmetic operators ``+ - * / ^`` with
 ``^`` binding tightest and associating right, unary minus, and the functions
 sin cos tan exp log sqrt atan sinh cosh.
 
-One recursion evaluates every entry point: ``eval_jet2`` at order 2 (value,
-gradient and Hessian in one pass), ``eval_value`` and ``const_value`` at
-order 0.  A derivative that vanishes identically is a structural zero and is
-never stored, constants stay float64 scalars, and full arrays are formed only
-when a result is returned.  The domain rules (division by zero, log or sqrt
-of a non-positive argument, a zero base with a negative integer exponent, a
-non-integer exponent on a non-positive base) live in that recursion alone,
-so bounds, coordinates and form coefficients obey the same rules.
+One evaluator runs a compiled tape, one op per distinct subexpression,
+for every entry point: ``eval_jet2`` at order 2, ``eval_value`` and
+``const_value`` at order 0, and the chart frames of ``geometry``.  On a
+tensor grid a node is computed only on the axes it depends on, a
+derivative that vanishes identically is never stored, and full arrays are
+formed only when a result is written out.  The domain rules (division by
+zero, log or sqrt of a non-positive argument, a zero base with a negative
+integer exponent, a non-integer exponent on a non-positive base) live in
+that evaluator alone, so bounds, coordinates and form coefficients obey
+the same rules.
 
 Points may be a single parameter vector of shape ``(n,)`` or a batch of
 shape ``(n, ...)``; jet fields then carry matching trailing axes, which is
@@ -20,6 +22,7 @@ what makes quadrature over large tensor grids cheap.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -272,35 +275,37 @@ class Jet2:
     hess: np.ndarray   # (n, n, ...)
 
 
-# Derivative arithmetic where None is a structural zero.  Sums are taken
-# pairwise, innermost first, so each temporary is freed as soon as it is
-# added, as in the plain left-to-right expression.
+# Derivatives are dicts keyed by variable tuples, ``(i,)`` for a gradient
+# entry and ``(i, j)`` for a Hessian entry; a missing key is a structural
+# zero.  Every entry follows the rule of the whole array, term by term.
 
 def _add(a, b):
-    if a is None:
-        return b
-    return a if b is None else a + b
+    if not (a and b):
+        return a or b
+    out = {k: v + b[k] if k in b else v for k, v in a.items()}
+    out.update((k, v) for k, v in b.items() if k not in a)
+    return out
 
 
 def _sub(a, b):
-    if b is None:
+    if not b:
         return a
-    return -b if a is None else a - b
+    out = {k: v - b[k] if k in b else v for k, v in a.items()}
+    out.update((k, -v) for k, v in b.items() if k not in a)
+    return out
 
 
 def _mul(a, s):
-    return None if a is None else a * s
+    return a and {k: v * s for k, v in a.items()}
 
 
 def _div(a, s):
-    return None if a is None else a / s
+    return a and {k: v / s for k, v in a.items()}
 
 
 def _outer(ga, gb):
-    # (n,...) x (n,...) -> (n,n,...)
-    if ga is None or gb is None:
-        return None
-    return ga[:, None] * gb[None, :]
+    return ga and gb and {i + j: u * w for i, u in ga.items()
+                          for j, w in gb.items()}
 
 
 def _first_bad(mask: np.ndarray, pts: np.ndarray) -> dict:
@@ -316,10 +321,11 @@ def _first_bad(mask: np.ndarray, pts: np.ndarray) -> dict:
 def _check(bad, what: str, e: Expr, pts: np.ndarray) -> None:
     """Raise ExprDomainError at the first point where ``bad`` holds.
 
-    ``bad`` is a scalar for a variable-free node; it is broadcast to the
-    batch only here, on the error path.  The error also carries the
-    failing node, the reason and the mask, for callers whose variables
-    have other names (form coefficients are written in p1..pC).
+    ``bad`` has only the axes of its node (none for a variable-free
+    node); it is broadcast to the batch only here, on the error path.
+    The error also carries the failing node, the reason and the mask,
+    for callers whose variables have other names (form coefficients are
+    written in p1..pC).
     """
     if np.any(bad):
         mask = np.broadcast_to(bad, pts.shape[1:])
@@ -329,42 +335,97 @@ def _check(bad, what: str, e: Expr, pts: np.ndarray) -> None:
         raise err
 
 
-def _jet(e: Expr, pts: np.ndarray, order: int):
-    """Value, gradient and Hessian of ``e`` on the batch ``pts`` (n, ...).
+def _compile(exprs) -> tuple:
+    """One tape for all of ``exprs``: an op ``(node, argument slots)`` per
+    distinct subexpression, in post-order, so a shared subexpression is
+    evaluated once and domain errors keep the order of evaluating the
+    expressions one after another.  A number is keyed with its sign, to
+    tell ``-0.0`` from ``0.0``.  Also returns the expressions each op
+    completes and the slots each op reads last."""
+    ops, slot = [], {}
 
-    Order 0 forms values only: no variable carries a gradient, so every
-    derivative is a structural zero (None).  At order 2 a variable's
-    gradient is a unit vector shaped to broadcast against (n,) + batch.
-    A variable-free node has a float64 scalar value; every other value
-    has the batch shape.
-    """
+    def visit(e):
+        if isinstance(e, BinOp):
+            tag, args = e.op, (visit(e.left), visit(e.right))
+        elif isinstance(e, (Neg, Call)):
+            tag, args = getattr(e, "func", "neg"), (visit(e.arg),)
+        elif isinstance(e, Num):
+            tag, args = (e.value, math.copysign(1.0, e.value)), ()
+        elif isinstance(e, (Const, Var)):
+            tag, args = e, ()
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        k = slot.setdefault((tag, args), len(ops))
+        if k == len(ops):
+            ops.append((e, args))
+        return k
+
+    outputs = {}
+    for i, e in enumerate(exprs):
+        outputs.setdefault(visit(e), []).append(i)
+    last = {a: k for k, (_, args) in enumerate(ops) for a in args}
+    dead = [[] for _ in ops]
+    for s in range(len(ops)):
+        dead[last.get(s, s)].append(s)
+    return ops, outputs, dead
+
+
+def _variables(pts: np.ndarray):
+    """The variables of the batch ``pts`` (n, ...), indexed by variable.
+    On a tensor grid (n, m1, ..., mn), variable ``i`` varying along axis
+    ``i`` alone (bits compared), each is its axis shaped
+    ``(1, .., mi, .., 1)`` to broadcast; otherwise ``pts`` itself."""
+    n = len(pts)
+    if n < 2 or pts.ndim != n + 1:
+        return pts
+    axes = [pts[i][tuple(slice(None) if d == i else slice(1)
+                         for d in range(n))].copy() for i in range(n)]
+    return axes if all(np.all(p.view(np.uint64) == ax.view(np.uint64))
+                       for p, ax in zip(pts, axes)) else pts
+
+
+def _run(tape: tuple, pts: np.ndarray, order: int, emit) -> None:
+    """Evaluate ``tape`` on the batch ``pts`` (n, ...), passing the jet
+    ``(value, gradient, Hessian)`` of expression ``i`` to ``emit(i, ...)``
+    once complete and freeing each slot after its last read.  Overflow
+    and invalid values are not warned about: the domain checks and the
+    rank test refuse them."""
+    ops, outputs, dead = tape
+    axes = _variables(pts)
+    slots = [None] * len(ops)
+    with np.errstate(all="ignore"):
+        for k, (e, args) in enumerate(ops):
+            slots[k] = _rule(e, [slots[a] for a in args], pts, axes, order)
+            for i in outputs.get(k, ()):
+                emit(i, *slots[k])
+            for s in dead[k]:
+                slots[s] = None
+
+
+def _rule(e: Expr, args: list, pts: np.ndarray, variables, order: int):
+    """The jet of the node ``e`` from its arguments' jets.  Order 0 forms
+    no derivatives; a variable-free node has a float64 scalar value."""
     if isinstance(e, Num):
-        return np.float64(e.value), None, None
+        return np.float64(e.value), {}, {}
     if isinstance(e, Const):
-        return np.float64(CONSTANTS[e.name]), None, None
+        return np.float64(CONSTANTS[e.name]), {}, {}
     if isinstance(e, Var):
-        g = None
-        if order:
-            g = np.zeros((len(pts),) + (1,) * (pts.ndim - 1))
-            g[e.index] = 1.0
-        return pts[e.index], g, None
+        g = {(e.index,): 1.0} if order else {}
+        return variables[e.index], g, {}
     if isinstance(e, Neg):
-        v, g, h = _jet(e.arg, pts, order)
-        return -v, _sub(None, g), _sub(None, h)
+        (v, g, h), = args
+        return -v, _sub({}, g), _sub({}, h)
     if isinstance(e, Call):
-        u, gu, hu = _jet(e.arg, pts, order)
+        (u, gu, hu), = args
         if e.func in ("log", "sqrt"):
             _check(u <= 0.0, f"{e.func} of non-positive argument", e, pts)
         f, f1, f2 = FUNCTIONS[e.func]
-        if gu is None:
-            return f(u), None, None
+        if not gu:
+            return f(u), {}, {}
         d1 = f1(u)
         return (f(u), _mul(gu, d1),
                 _add(_mul(hu, d1), _mul(_outer(gu, gu), f2(u))))
-    if not isinstance(e, BinOp):
-        raise TypeError(f"not an Expr: {e!r}")
-    va, ga, ha = _jet(e.left, pts, order)
-    vb, gb, hb = _jet(e.right, pts, order)
+    (va, ga, ha), (vb, gb, hb) = args
     if e.op == "+":
         return va + vb, _add(ga, gb), _add(ha, hb)
     if e.op == "-":
@@ -384,16 +445,16 @@ def _jet(e: Expr, pts: np.ndarray, order: int):
         if vb < 0:
             _check(va == 0.0, "zero base with negative exponent", e, pts)
         v = va ** vb
-        if ga is None or vb == 0:
-            return v, None, None
+        if not ga or vb == 0:
+            return v, {}, {}
         d1 = vb * va ** (vb - 1)
-        h2 = None if vb == 1 else _mul(_outer(ga, ga),
-                                       vb * (vb - 1) * va ** (vb - 2))
+        h2 = {} if vb == 1 else _mul(_outer(ga, ga),
+                                     vb * (vb - 1) * va ** (vb - 2))
         return v, _mul(ga, d1), _add(_mul(ha, d1), h2)
     _check(va <= 0.0, "non-integer exponent needs positive base", e, pts)
     v = va ** vb
-    if ga is None and gb is None:
-        return v, None, None
+    if not ga and not gb:
+        return v, {}, {}
     # d(a^b) = a^b q with q = b' log a + b a'/a
     lv = np.log(va)
     q = _add(_mul(gb, lv), _div(_mul(ga, vb), va))
@@ -401,6 +462,15 @@ def _jet(e: Expr, pts: np.ndarray, order: int):
     dq = _sub(_add(dq, _div(_mul(ha, vb), va)),
               _div(_mul(_outer(ga, ga), vb), va ** 2))
     return v, _mul(q, v), _mul(_add(_outer(q, q), dq), v)
+
+
+def _store(fields: tuple, v, g: dict, h: dict) -> None:
+    """Write a jet into ``fields``, the arrays (value, gradient, Hessian)
+    or a prefix of them, broadcasting each entry to the full batch and
+    writing a structural zero as 0."""
+    for rank, (part, out) in enumerate(zip(({(): v}, g, h), fields)):
+        for key in itertools.product(*map(range, out.shape[:rank])):
+            out[key + (...,)] = part.get(key, 0.0)
 
 
 def _batch(point):
@@ -413,15 +483,6 @@ def _batch(point):
     return (pts[:, None], True) if pts.ndim == 1 else (pts, False)
 
 
-def _full(a, shape: tuple, pts: np.ndarray) -> np.ndarray:
-    """``a`` as a full array of ``shape`` that does not alias ``pts``."""
-    if a is None:
-        return np.zeros(shape)
-    if np.shape(a) == shape and not np.may_share_memory(a, pts):
-        return a
-    return np.array(np.broadcast_to(a, shape))
-
-
 def eval_jet2(e: Expr, point) -> Jet2:
     """Evaluate value/gradient/Hessian at ``point``.
 
@@ -429,21 +490,19 @@ def eval_jet2(e: Expr, point) -> Jet2:
     the returned jet fields carry the same trailing axes.
     """
     pts, single = _batch(point)
-    v, g, h = _jet(e, pts, 2)
-    n, shape = pts.shape[0], pts.shape[1:]
-    v = _full(v, shape, pts)
-    g = _full(g, (n,) + shape, pts)
-    h = _full(h, (n, n) + shape, pts)
-    if single:
-        return Jet2(float(v[0]), g[:, 0], h[:, :, 0])
-    return Jet2(v, g, h)
+    n, shape = len(pts), np.shape(point)[1:]
+    fields = np.empty(shape), np.empty((n,) + shape), np.empty((n, n) + shape)
+    _run(_compile([e]), pts, 2, lambda i, *jet: _store(fields, *jet))
+    value, grad, hess = fields
+    return Jet2(float(value) if single else value, grad, hess)
 
 
 def eval_value(e: Expr, point) -> ArrayLike:
     """Evaluate the value alone; cheaper than a jet on large batches."""
     pts, single = _batch(point)
-    v = _full(_jet(e, pts, 0)[0], pts.shape[1:], pts)
-    return float(v[0]) if single else v
+    value = np.empty(np.shape(point)[1:])
+    _run(_compile([e]), pts, 0, lambda i, *jet: _store((value,), *jet))
+    return float(value) if single else value
 
 
 # A batch of no points, wide enough for any variable.  Each variable reads
@@ -454,5 +513,6 @@ _NO_POINTS = np.empty((1 << 31, 0))
 
 def const_value(e: Expr) -> float | None:
     """Value of a variable-free expression, else None."""
-    v = _jet(e, _NO_POINTS, 0)[0]
-    return float(v) if np.ndim(v) == 0 else None
+    out = []
+    _run(_compile([e]), _NO_POINTS, 0, lambda i, v, g, h: out.append(v))
+    return float(out[0]) if np.ndim(out[0]) == 0 else None

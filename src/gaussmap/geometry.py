@@ -9,6 +9,7 @@ ambient axis, otherwise lexicographically by the selected axis set.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateJacobian, ZeroPlueckerVector
-from .expr import Expr, eval_jet2, parse, _first_bad
+from .expr import Expr, parse, _batch, _compile, _first_bad, _run, _store
 
 __all__ = [
     "ImmersionChart", "ConeChart", "JetFrame", "PlueckerVector",
@@ -68,6 +69,10 @@ class ImmersionChart:
                 f"need at least {self.n} ambient coordinates, "
                 f"got {self.ambient_dim}")
 
+    @functools.cached_property
+    def _tape(self) -> tuple:
+        return _compile(self.coords)
+
     def frame(self, t) -> JetFrame:
         return jacobian_frame(self, t)
 
@@ -93,24 +98,28 @@ class ConeChart:
             for f in funcs)
         self.ambient_dim = len(self.funcs)
 
+    @functools.cached_property
+    def _tape(self) -> tuple:
+        return _compile([f for f in self.funcs if f is not None])
+
     def frame(self, t) -> JetFrame:
-        return cone_frame(self.funcs, self.slot, t)
+        return _cone_frame(self._tape, self.slot, self.ambient_dim, t)
 
 
 def jacobian_frame(chart: ImmersionChart, t) -> JetFrame:
     """Evaluate position, Jacobian and second derivatives of a chart.
 
-    Each coordinate's jet is copied into the frame as soon as it is
-    evaluated, so only one jet is held at a time.
+    The chart's tape runs once for all coordinates, on the open grid
+    when ``t`` is a tensor grid.  Each coordinate's jet is broadcast to
+    the full grid only as it is written into the frame.
     """
     t = np.asarray(t, float)
     n, shape, N = t.shape[0], t.shape[1:], len(chart.coords)
     x = np.empty((N,) + shape)
     jac = np.empty((N, n) + shape)
     second = np.empty((N, n, n) + shape)
-    for a, e in enumerate(chart.coords):
-        jet = eval_jet2(e, t)
-        x[a], jac[a], second[a] = jet.value, jet.grad, jet.hess
+    _run(chart._tape, _batch(t)[0], 2,
+         lambda a, *jet: _store((x[a, ...], jac[a], second[a]), *jet))
     return JetFrame(t=t, x=x, jac=jac, second=second)
 
 
@@ -121,26 +130,22 @@ def cone_frame(funcs: Sequence[Optional[Expr]], slot: int, t) -> JetFrame:
     with the ray scale last, so the first ``n`` columns of the Jacobian
     are the chart directions and the last is the position itself.
     """
-    t = np.asarray(t, float)
-    n = t.shape[0]
-    shape = t.shape[1:]
-    N = len(funcs)
+    tape = _compile([f for a, f in enumerate(funcs) if a != slot])
+    return _cone_frame(tape, slot, len(funcs), t)
 
+
+def _cone_frame(tape: tuple, slot: int, N: int, t) -> JetFrame:
+    t = np.asarray(t, float)
+    n, shape = t.shape[0], t.shape[1:]
+    rows = [a for a in range(N) if a != slot]
     x = np.empty((N,) + shape)
     jac = np.zeros((N, n + 1) + shape)
     second = np.zeros((N, n + 1, n + 1) + shape)
-    for a, f in enumerate(funcs):
-        if a == slot:
-            x[a] = 1.0
-            jac[a, n] = 1.0
-            continue
-        jet = eval_jet2(f, t)
-        x[a] = jet.value
-        jac[a, :n] = jet.grad
-        jac[a, n] = jet.value
-        second[a, :n, :n] = jet.hess
-        second[a, :n, n] = jet.grad
-        second[a, n, :n] = jet.grad
+    x[slot] = 1.0
+    _run(tape, _batch(t)[0], 2, lambda i, *jet: _store(
+        (x[rows[i], ...], jac[rows[i], :n], second[rows[i], :n, :n]), *jet))
+    jac[:, n] = x
+    second[:, :n, n] = second[:, n, :n] = jac[:, :n]
     return JetFrame(t=t, x=x, jac=jac, second=second)
 
 
@@ -207,9 +212,10 @@ class PlueckerVector:
 def _det(rows) -> np.ndarray:
     """Determinants of ``rows``, laid out ``(n, n) + batch``.
 
-    Sizes up to 3 are closed forms on the entries ``rows[i][j]``, so a
-    nested list of arrays works as well as one array; larger sizes go to
-    LAPACK, which wants the matrix axes last.
+    Sizes up to 4 are closed forms on the entries ``rows[i][j]``, so a
+    nested list of arrays works as well as one array; size 4 expands
+    along the first row over the 3x3 form.  Larger sizes go to LAPACK,
+    which wants the matrix axes last.
     """
     n = len(rows)
     if n == 0:
@@ -221,6 +227,12 @@ def _det(rows) -> np.ndarray:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = (tuple(r) for r in rows)
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a, b, c, d), *rest = (tuple(r) for r in rows)
+
+        def minor(j):
+            return _det([r[:j] + r[j + 1:] for r in rest])
+        return a * minor(0) - b * minor(1) + c * minor(2) - d * minor(3)
     return np.linalg.det(np.moveaxis(np.asarray(rows), (0, 1), (-2, -1)))
 
 

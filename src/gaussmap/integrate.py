@@ -12,6 +12,7 @@ constant and accepts the nearest integer when the residual is within
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -75,6 +76,15 @@ class QuadratureSpec:
             raise ValueError("need at least one level")
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(m: int):
+    """The ``m``-point Gauss-Legendre rule on ``[-1, 1]``, computed once
+    per ``m`` and kept read-only."""
+    xi, wi = np.polynomial.legendre.leggauss(m)
+    xi.flags.writeable = wi.flags.writeable = False
+    return xi, wi
+
+
 def axis_nodes(interval: Interval, m: int):
     """Nodes and weights for one axis with ``m`` points."""
     if interval.periodic:
@@ -82,7 +92,7 @@ def axis_nodes(interval: Interval, m: int):
         x = interval.lower + h * np.arange(m)
         w = np.full(m, h)
     else:
-        xi, wi = np.polynomial.legendre.leggauss(m)
+        xi, wi = _gauss_legendre(m)
         mid = 0.5 * (interval.lower + interval.upper)
         half = 0.5 * interval.length
         x = mid + half * xi

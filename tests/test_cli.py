@@ -300,6 +300,24 @@ def test_console_script():
     assert json.loads(proc.stdout)["k"] == -1
 
 
+def test_overflowing_chart_fails_without_warnings(tmp_path):
+    man = tmp_path / "overflow.man"
+    man.write_text("kind: immersion\nn: 1\nambient: 2\n"
+                   "x1 = (2+cos(t1))^(2^1025)\nx2 = sin(t1)\n"
+                   "t1 in [0, 2*pi) periodic\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(gaussmap.__file__).parent.parent),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussmap.cli", "winding", str(man)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout, parse_constant=_refuse_constant)
+    assert doc["error"]["code"] == "degenerate_jacobian"
+
+
 def _refuse_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

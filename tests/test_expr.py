@@ -356,3 +356,35 @@ def test_const_value_errors_carry_no_location():
         const_value(parse("1/(2 - 2)", 0))
     assert exc.value.message == "division by zero in (1.0 / (2.0 - 2.0))"
     assert exc.value.location == {}
+
+
+def _jet_or_error(e, point):
+    try:
+        return eval_jet2(e, point)
+    except ExprDomainError as exc:
+        return exc.message, exc.location
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       depth=st.integers(0, 4))
+def test_tensor_grid_jets_match_the_flat_batch(seed, n, depth):
+    """A tensor grid is evaluated on its open axes, any other batch on
+    full rows; both give the same bits and the same first error."""
+    rng = np.random.default_rng(seed)
+    e = random_expr(rng, n, depth, general=True)
+    axes = [rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 6)))
+            for _ in range(n)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    flat = grid.reshape(n, -1)
+    on_grid, on_flat = _jet_or_error(e, grid), _jet_or_error(e, flat)
+    if isinstance(on_flat, tuple) or isinstance(on_grid, tuple):
+        assert on_grid == on_flat
+        return
+    shape = grid.shape[1:]
+    for a, b in [(on_grid.value, on_flat.value.reshape(shape)),
+                 (on_grid.grad, on_flat.grad.reshape((n,) + shape)),
+                 (on_grid.hess, on_flat.hess.reshape((n, n) + shape))]:
+        finite = np.isfinite(a)
+        assert np.array_equal(finite, np.isfinite(b))
+        assert np.array_equal(a[finite], b[finite])

@@ -1,10 +1,12 @@
 """Frames and tangent-plane coordinates against brute-force oracles."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaussmap.expr
 import gaussmap.geometry
 from gaussmap.errors import (DegenerateJacobian, GaussMapError,
                              ZeroPlueckerVector)
@@ -220,9 +222,51 @@ def test_low_dimensional_pipelines_never_call_lapack_det(monkeypatch):
     curve_frame = circle.frame(np.linspace(0.0, 6.0, 9)[np.newaxis])
     surface_frame = sphere.frame(np.stack(np.meshgrid(
         np.linspace(0.0, 6.0, 5), np.linspace(0.3, 2.8, 4), indexing="ij")))
-    for frame in (curve_frame, surface_frame):
+    solid_frame = ImmersionChart(S3, 3).frame(tensor_nodes(S3_DOM, 8)[0])
+    for frame in (curve_frame, surface_frame, solid_frame):
         assert np.all(np.isfinite(canonical_density(pluecker(frame))))
     assert np.all(np.isfinite(gauss_bonnet_density(surface_frame)))
+
+
+S3 = ["cos(t1)*sin(t2)*sin(t3)", "sin(t1)*sin(t2)*sin(t3)", "cos(t2)*sin(t3)",
+      "cos(t3)"]
+S3_DOM = DomainSpec([Interval(0, 2 * np.pi, periodic=True),
+                     Interval(0, np.pi), Interval(0, np.pi)])
+TORUS = ["(2+cos(t2))*cos(t1)", "(2+cos(t2))*sin(t1)", "sin(t2)"]
+TORUS_DOM = DomainSpec([Interval(0, 2 * np.pi, periodic=True)] * 2)
+
+
+def test_chart_tape_evaluates_a_shared_subexpression_once(monkeypatch):
+    calls = []
+    f, f1, f2 = gaussmap.expr.FUNCTIONS["cos"]
+    monkeypatch.setitem(gaussmap.expr.FUNCTIONS, "cos",
+                        (lambda u: calls.append(u) or f(u), f1, f2))
+    chart = ImmersionChart(["2*cos(t1)", "cos(t1) + 1", "-0", "0"], 1)
+    frame = chart.frame(np.linspace(0.0, 1.0, 5)[np.newaxis])
+    assert len(calls) == 1
+    assert np.array_equal(frame.x[1], np.cos(np.linspace(0.0, 1.0, 5)) + 1)
+    # a negative zero is its own leaf, not merged with 0
+    assert np.all(np.signbit(frame.x[2]))
+    assert not np.any(np.signbit(frame.x[3]))
+
+
+@pytest.mark.parametrize("coords,domain,m", [
+    (TORUS, TORUS_DOM, 128),
+    (S3, S3_DOM, 32),
+])
+def test_frame_working_set_stays_within_twice_the_frame(coords, domain, m):
+    """On a tensor grid the jets live on the open grid, and each slot is
+    freed after its last use, so the frame itself dominates the peak."""
+    chart = ImmersionChart(coords, len(domain.intervals))
+    pts = tensor_nodes(domain, m)[0]
+    tracemalloc.start()
+    try:
+        frame = chart.frame(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = frame.x.nbytes + frame.jac.nbytes + frame.second.nbytes
+    assert peak <= 2 * own
 
 
 # --- cone charts -------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from gaussmap.errors import DomainError
 from gaussmap.integrate import (
-    Certification, DomainSpec, Interval, QuadratureSpec, certify, integrate,
-    integrate_kernels, normalization_constant, tensor_nodes,
+    Certification, DomainSpec, Interval, QuadratureSpec, axis_nodes, certify,
+    integrate, integrate_kernels, normalization_constant, tensor_nodes,
 )
 
 
@@ -36,6 +36,15 @@ def test_gauss_nodes_are_interior_and_exact_for_polynomials():
     assert np.all(pts > 0.0) and np.all(pts < 1.0)
     # degree 23 is well under the 2*16 - 1 exactness bound
     assert abs(np.sum(pts[0] ** 23 * w) - 1.0 / 24) < 1e-15
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    xi, wi = np.polynomial.legendre.leggauss(24)
+    for _ in range(2):
+        x, w = axis_nodes(Interval(-1.0, 3.0), 24)
+        assert np.array_equal(x, 1.0 + 2.0 * xi)
+        assert np.array_equal(w, 2.0 * wi)
+        x[:] = w[:] = 0.0  # the caller's copies, not the cached rule
 
 
 def test_sphere_area_mixed_axes():
