@@ -74,6 +74,11 @@ class QuadratureSpec:
             raise ValueError(f"grid must be at least 8, got {self.grid}")
         if self.max_levels < 1:
             raise ValueError("need at least one level")
+        for name in ("tol_conv", "tol_cert"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {tol}")
 
 
 @functools.lru_cache(maxsize=32)

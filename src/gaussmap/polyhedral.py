@@ -16,12 +16,16 @@ lowest-numbered failing vertex raises on its own.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
+import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,11 +131,11 @@ def _checked_rows(raw: np.ndarray, num_vertices: int,
     if raw.ndim != 2:
         raise MeshError("each simplex must be a list of vertex indices")
     if raw.dtype.kind in "iu":
-        cells = raw.astype(np.int64, copy=False)
+        cells = raw
         fractional = np.zeros(len(raw), bool)
     elif raw.dtype.kind == "f":
         integral = np.isfinite(raw) & (raw == np.round(raw))
-        cells = np.where(integral, raw, 0).astype(np.int64)
+        cells = np.where(integral, raw, 0)  # cast once all are in range
         fractional = ~np.all(integral, axis=1)
     else:
         raise MeshError("vertex indices must be integers")
@@ -144,13 +148,14 @@ def _checked_rows(raw: np.ndarray, num_vertices: int,
         if fractional[s]:
             raise MeshError(f"simplex {offset + s} has a non-integer "
                             f"vertex index: {raw[s].tolist()}")
-        ids = tuple(cells[s].tolist())
+        ids = tuple(int(i) if abs(i) < 2 ** 63 else i
+                    for i in cells[s].tolist())
         if repeats[s]:
             raise MeshError(f"simplex {offset + s} repeats a vertex: {ids}")
         i = next(i for i in ids if not 0 <= i < num_vertices)
         raise MeshError(f"simplex {offset + s} references vertex {i}, "
                         f"have {num_vertices}")
-    return cells
+    return cells.astype(np.int64, copy=False)
 
 
 def _faces(cells: np.ndarray):
@@ -171,37 +176,83 @@ def _faces(cells: np.ndarray):
 
 
 def load_off(path) -> SimplicialImmersion:
-    """Triangle meshes in OFF format; nOFF carries an ambient dimension."""
-    with open(path) as fh:
-        rows = filter(None, (ln.split("#", 1)[0].split() for ln in fh))
-        header = next(rows, None)
-        if header is None:
-            raise MeshError(f"{path}: empty file")
-        if header[0] not in ("OFF", "nOFF"):
-            raise MeshError(f"{path}: expected OFF or nOFF header")
-        try:
-            ambient = 3
-            if header[0] == "nOFF":
-                ambient = int(header[1] if len(header) > 1
-                              else next(rows, [""])[0])
-            nv, nf = [int(x) for x in next(rows, [])[:2]]
-            vertices = [[float(x) for x in row[:ambient]]
-                        for row in islice(rows, max(nv, 0))]
-            faces = []
-            for row in islice(rows, max(nf, 0)):
-                parts = [int(x) for x in row]
-                if parts[0] != 3:
-                    raise MeshError(
-                        f"{path}: only triangle faces are supported, "
-                        f"got a face of {parts[0]} vertices")
-                faces.append(parts[1:4])
-            if len(vertices) != nv or len(faces) != nf:
-                raise ValueError(f"header promises {nv} vertices and {nf} "
-                                 f"faces, found {len(vertices)} and "
-                                 f"{len(faces)}")
-        except ValueError as exc:
-            raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
+    """Triangle meshes in OFF format; nOFF carries an ambient dimension.
+
+    The header is read line by line, then one ``np.loadtxt`` reads the
+    vertex block and one the face block; the README's "Mesh formats"
+    gives the grammar.
+    """
+    try:
+        with open(path) as fh:
+            vertices, faces = _read_off(fh, path)
+    except ValueError as exc:
+        raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
     return SimplicialImmersion(vertices, faces)
+
+
+def _read_off(fh, path):
+    """Vertex and face arrays of an open OFF file."""
+    rows = filter(itemgetter(1),
+                  ((ln, ln.split("#", 1)[0].split()) for ln in fh))
+    header = next(rows, None)
+    if header is None:
+        raise MeshError(f"{path}: empty file")
+    keyword, *words = header[1]
+    if keyword not in ("OFF", "nOFF"):
+        raise MeshError(f"{path}: expected OFF or nOFF header")
+    ambient = 3
+    if keyword == "nOFF":
+        ambient, *words = words or next(rows, ("", [""]))[1]
+        ambient = int(ambient)
+    if len(words) < 2:  # the counts are on the next line
+        words = next(rows, ("", []))[1]
+    nv, nf = [int(x) for x in words[:2]]
+    if min(ambient, nv, nf) < 1:
+        raise MeshError(f"{path}: OFF header counts must be positive, got "
+                        f"dimension {ambient}, {nv} vertices, {nf} faces")
+    first, numbers = next(rows, ("", []))
+    if len(numbers) < ambient:  # also keeps usecols below file-sized
+        raise ValueError(f"vertex rows need {ambient} numbers, the first "
+                         f"has {len(numbers)}")
+    with warnings.catch_warnings():
+        # numpy notes skipped blank lines, an empty block and (on older
+        # numpy) an integer read through a float; the checks below decide
+        warnings.simplefilter("ignore")
+        vertices = np.loadtxt(chain([first], fh), usecols=range(ambient),
+                              max_rows=nv, ndmin=2)
+        rest = fh.read()
+        block = io.StringIO(rest)
+        faces = np.loadtxt(block, np.int64, usecols=range(4), max_rows=nf,
+                           ndmin=2)
+    if len(vertices) != nv or len(faces) != nf:
+        raise ValueError(f"header promises {nv} vertices and {nf} faces, "
+                         f"found {len(vertices)} and {len(faces)}")
+    bad = _non_integer_line(rest[:block.tell()])
+    if bad is not None:
+        raise ValueError(f"face row {bad!r} holds a token that is not an "
+                         f"integer")
+    sides = faces[:, 0]
+    if np.any(sides != 3):
+        raise MeshError(f"{path}: only triangle faces are supported, got a "
+                        f"face of {sides[np.argmax(sides != 3)]} vertices")
+    return vertices, faces[:, 1:]
+
+
+_DIGITS_AND_SPACE = b"0123456789\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_NOT_AN_INTEGER = r"[^0-9\s+-]|[+-](?:(?<=\S.)|(?![0-9]))"
+
+
+def _non_integer_line(text: str):
+    """The first line of ``text`` with a token, outside ``#`` comments,
+    that is not an ASCII integer literal; None if there is none."""
+    if not text.encode().translate(None, _DIGITS_AND_SPACE):
+        return None  # unsigned digits and ASCII whitespace only
+    text = re.sub("#.*", "", text)
+    bad = re.search(_NOT_AN_INTEGER, text)
+    if bad is None:
+        return None
+    start = text.rfind("\n", 0, bad.start()) + 1
+    return text[start:].partition("\n")[0].strip()
 
 
 def load_mesh_json(path) -> SimplicialImmersion:

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +271,24 @@ def test_usage_errors_exit_2():
             with redirect_stdout(io.StringIO()):
                 main(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-cert", "nan"], ["--tol-conv", "-1"], ["--tol-cert", "inf"]])
+def test_bad_tolerance_flags_exit_2(flags):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exit_:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            main(["winding", str(MANIFESTS / "circle.man"), *flags])
+    assert exit_.value.code == 2
+    assert "must be a finite number >= 0" in err.getvalue()
+
+
+def test_zero_tolerances_are_allowed():
+    doc = run_json("winding", MANIFESTS / "circle.man", "--tol-cert", "0")
+    assert doc["k"] == -1
+    doc = run_json("winding", MANIFESTS / "circle.man", "--tol-conv", "0")
+    assert doc["kind"] == "winding"
 
 
 def test_pretty_flag():

@@ -11,6 +11,15 @@ from gaussmap.integrate import (
 )
 
 
+@pytest.mark.parametrize("key", ["tol_conv", "tol_cert"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0,
+                                   -1e-300])
+def test_tolerances_must_be_finite_and_not_negative(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        QuadratureSpec(**{key: value})
+    assert getattr(QuadratureSpec(**{key: 0.0}), key) == 0.0
+
+
 def test_interval_validation():
     with pytest.raises(DomainError):
         Interval(1.0, 1.0)

@@ -116,6 +116,12 @@ def expect_error(text, fragment, line=None):
     return err.value
 
 
+@pytest.mark.parametrize("setting", ["tol_cert: nan", "tol_conv: -1",
+                                     "tol_conv: inf"])
+def test_bad_tolerance_keys_are_manifest_errors(setting):
+    expect_error(CIRCLE + setting + "\n", "must be a finite number >= 0")
+
+
 def test_unrecognized_line():
     expect_error(CIRCLE + "wibble wobble\n", "unrecognized", line=8)
 

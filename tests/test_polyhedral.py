@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -572,6 +573,33 @@ def test_non_integer_simplex_index_is_a_mesh_error(tmp_path):
                                 [[0.0, 1.0, 2.0], [0, 1, 3], [0, 2, 3],
                                  [1, 2, 3]])
     assert whole.simplices == tetrahedron().simplices
+
+
+@pytest.mark.parametrize("index, named", [
+    (1e30, "1e+30"), (-1e30, "-1e+30"), (2.0 ** 63, "9.223372036854776e+18"),
+    (10 ** 19, "1e+19"), (7.0, "7")])
+def test_huge_simplex_index_is_named_without_warnings(tmp_path, index,
+                                                      named):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simplices": [[0, 1, index], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError) as err:
+            load_mesh_json(path)
+    assert err.value.message == \
+        f"simplex 0 references vertex {named}, have 4"
+
+
+def test_huge_simplex_index_checks_keep_their_order():
+    vertices = tetrahedron().vertices
+    with pytest.raises(MeshError, match=r"non-integer.*\[1e\+30, 0.5, 1.0\]"):
+        SimplicialImmersion(vertices, [[1e30, 0.5, 1.0]])
+    with pytest.raises(MeshError, match=r"repeats a vertex: \(1e\+30, 1e\+30, 0\)"):
+        SimplicialImmersion(vertices, [[1e30, 1e30, 0.0]])
+    with pytest.raises(MeshError, match="references vertex 1e\\+30"):
+        SimplicialImmersion(vertices, [[1e30, 2e30, 0.0]])
 
 
 @pytest.mark.parametrize("single, make", [
