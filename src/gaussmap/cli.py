@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import GaussMapError, ManifestError, MeshError
-from .forms import canonical_density, parse_form_spec
+from .forms import degree_density, parse_form_spec
 from .geometry import ConeChart, ImmersionChart
 from .integrate import QuadratureSpec, tensor_nodes
 from .invariants import (euler_characteristic, form_invariant, gauss_degree,
@@ -34,10 +34,10 @@ class UsageError(Exception):
 
 
 def _merge_quad(base: QuadratureSpec, args) -> QuadratureSpec:
+    """``base`` with the quadrature flags that ``args`` has and sets."""
     kwargs = asdict(base)
-    for key, flag in (("grid", args.grid), ("max_levels", args.max_levels),
-                      ("tol_conv", args.tol_conv),
-                      ("tol_cert", args.tol_cert)):
+    for key in kwargs:
+        flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
     try:
@@ -146,8 +146,9 @@ def cmd_form(args) -> dict:
 
 
 def cmd_mesh_total(args) -> dict:
+    # the quadrature defaults and checks apply to the one flag it has
+    tol = _merge_quad(QuadratureSpec(), args).tol_cert
     mesh = _mesh_for(args)
-    tol = args.tol_cert if args.tol_cert is not None else 1e-6
     if mesh.dim == 2:
         return total_invariant_2(mesh, tol_cert=tol).to_dict()
     return total_invariant_3(mesh, tol_cert=tol).to_dict()
@@ -175,8 +176,7 @@ def cmd_density_dump(args) -> dict:
     if grid < 2:
         raise UsageError(f"--grid must be at least 2, got {grid}")
     pts, _ = tensor_nodes(m.domain, grid)
-    _, pv = level_stage(m.chart)(pts)
-    density = canonical_density(pv)
+    density = degree_density(*level_stage(m.chart)(pts))
     n = m.domain.n
     flat_pts = pts.reshape(n, -1)
     flat_density = np.asarray(density, float).reshape(-1)

@@ -22,10 +22,10 @@ from .expr import Expr, Neg, eval_value, parse, to_text, _first_bad
 from .geometry import JetFrame, PlueckerVector, _det
 
 __all__ = [
-    "canonical_density", "gauss_bonnet_fundamentals", "gauss_bonnet_density",
-    "kaehler_density", "projective_density", "PlueckerFormSpec", "FormTerm",
-    "parse_form_spec", "form_spec_to_text", "generic_pluecker_density",
-    "orientation_sign",
+    "canonical_density", "degree_density", "gauss_bonnet_fundamentals",
+    "gauss_bonnet_density", "kaehler_density", "projective_density",
+    "PlueckerFormSpec", "FormTerm", "parse_form_spec", "form_spec_to_text",
+    "generic_pluecker_density", "orientation_sign",
 ]
 
 
@@ -50,6 +50,38 @@ def canonical_density(pv: PlueckerVector) -> np.ndarray:
             f"for {n} parameters")
     M = np.concatenate([pv.p[np.newaxis], np.moveaxis(pv.dp, 1, 0)], axis=0)
     return orientation_sign(n) * _det(M) / pv.norm ** (n + 1)
+
+
+def degree_density(frame: JetFrame, pv: PlueckerVector) -> np.ndarray:
+    """Degree density of a codimension-one frame and its minors.
+
+    For ``n >= 3`` it is ``(-1)^n det(H) / |p|^(n+1)``, with the second
+    fundamental form ``H_ij = <x_ij, nu>`` against the unnormalized
+    normal ``nu_a = (-1)^a p[a]``: the Gauss-Kronecker curvature times
+    the volume element.  It equals ``canonical_density(pv)``, which
+    differentiates ``nu`` instead: the tangential part of
+    ``d_j nu`` has coefficients ``-H g^-1``, and ``det g = |p|^2``.  The
+    minor derivatives are never built on this route.  For ``n <= 2``
+    the canonical determinant is kept, so that for surfaces the
+    curvature route stays an independent formula.
+    """
+    n = pv.n
+    if n <= 2:
+        return canonical_density(pv)
+    if pv.p.shape[0] != n + 1:
+        raise ValueError(
+            f"codimension-one frames only: {pv.p.shape[0]} minors "
+            f"for {n} parameters")
+    nu = pv.p.copy()
+    nu[1::2] *= -1.0
+    second = frame.second
+    H = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            # second derivatives commute, so H is symmetric
+            H[i][j] = H[j][i] = np.einsum("a...,a...->...", nu,
+                                          second[:, i, j])
+    return (-1.0) ** n * _det(H) / pv.norm ** (n + 1)
 
 
 def gauss_bonnet_fundamentals(frame: JetFrame):

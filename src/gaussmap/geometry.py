@@ -23,7 +23,7 @@ from .expr import Expr, parse, _batch, _compile, _first_bad, _run, _store
 __all__ = [
     "ImmersionChart", "ConeChart", "JetFrame", "PlueckerVector",
     "minor_index_sets", "jacobian_frame", "cone_frame", "immersion_check",
-    "pluecker",
+    "pluecker", "scaled_frame",
 ]
 
 CoordSpec = Union[str, Expr]
@@ -189,24 +189,34 @@ def immersion_check(frame: JetFrame, eps: float = _RANK_EPS) -> None:
             "Jacobian loses rank on the evaluation set", location=location)
 
 
-@dataclass(frozen=True)
 class PlueckerVector:
     """Maximal minors of the transposed Jacobian and their derivatives.
 
     ``p[c]`` is the minor for ``indices[c]``; ``dp[c, j]`` its derivative
     along parameter ``j``, the sum over Jacobian rows of the minor with
-    that row replaced by its derivative.  Batch axes trail.
+    that row replaced by its derivative.  Batch axes trail.  ``dp`` may
+    be given as the ``JetFrame`` of the minors, and is then built from
+    it on first read: the degree density for ``n >= 3`` never reads it.
     """
 
-    indices: tuple       # C axis subsets, each an n-tuple
-    p: np.ndarray        # (C, ...)
-    dp: np.ndarray       # (C, n, ...)
-    norm: np.ndarray     # (...)
-    t: np.ndarray        # (n, ...)
+    def __init__(self, indices, p, dp, norm, t):
+        self.indices = indices   # C axis subsets, each an n-tuple
+        self.p = p               # (C, ...)
+        self.norm = norm         # (...)
+        self.t = t               # (n, ...)
+        self._dp = dp            # (C, n, ...), or the frame to build it from
 
     @property
     def n(self) -> int:
-        return self.dp.shape[1]
+        if isinstance(self._dp, JetFrame):
+            return self._dp.n
+        return self._dp.shape[1]
+
+    @property
+    def dp(self) -> np.ndarray:
+        if isinstance(self._dp, JetFrame):
+            self._dp = _minor_derivatives(self._dp, self.indices)
+        return self._dp
 
 
 def _det(rows) -> np.ndarray:
@@ -236,48 +246,88 @@ def _det(rows) -> np.ndarray:
     return np.linalg.det(np.moveaxis(np.asarray(rows), (0, 1), (-2, -1)))
 
 
-def pluecker(frame: JetFrame, check: bool = True) -> PlueckerVector:
-    """Tangent-plane coordinates of a frame, with parameter derivatives.
+def _blocks(frame: JetFrame, index_sets):
+    """Per minor, its square block of the transposed Jacobian as nested
+    lists of views, ``block[j][a]`` = d x_cols[a] / d t_j."""
+    At = frame.jac.swapaxes(0, 1)
+    n = frame.n
+    return [[[At[j, a] for a in cols] for j in range(n)]
+            for cols in index_sets]
 
-    Each minor is a Laplace expansion along its first row.  A minor is
-    linear in each row, so its derivative along ``t_k`` pairs the
-    cofactors with the row derivatives:
+
+def pluecker(frame: JetFrame, check: bool = True) -> PlueckerVector:
+    """Tangent-plane coordinates of a frame.
+
+    The parameter derivatives ``dp`` are left to be built on first
+    read.
+    """
+    index_sets = minor_index_sets(frame.n, frame.ambient_dim)
+    p = np.empty((len(index_sets),) + frame.batch_shape)
+    for c, block in enumerate(_blocks(frame, index_sets)):
+        p[c] = _det(block)
+    norm = np.sqrt(np.sum(p * p, axis=0))
+    pv = PlueckerVector(indices=index_sets, p=p, dp=frame, norm=norm,
+                        t=frame.t)
+    if check:
+        _zero_minor_check(pv, _column_sq_norms(frame))
+    return pv
+
+
+def _minor_derivatives(frame: JetFrame, index_sets) -> np.ndarray:
+    """``dp`` of the minors ``index_sets`` of a frame.
+
+    A minor is linear in each row, so its derivative along ``t_k``
+    pairs the cofactors with the row derivatives:
     ``dp[c, k] = sum_{r, a} cof[r, a] * Dt[r, cols[a], k]``.
     """
-    n, N = frame.n, frame.ambient_dim
-    shape = frame.batch_shape
-    index_sets = minor_index_sets(n, N)
-
-    # At[j, a] = d x_a / d t_j, the transposed Jacobian
-    At = np.moveaxis(frame.jac, 0, 1)
+    n = frame.n
     # Dt[j, a, k] = d^2 x_a / d t_j d t_k
-    Dt = np.moveaxis(frame.second, 0, 1)
-
-    C = len(index_sets)
-    p = np.zeros((C,) + shape)
-    dp = np.zeros((C, n) + shape)
-    for c, cols in enumerate(index_sets):
-        block = [[At[j, a] for a in cols] for j in range(n)]
+    Dt = frame.second.swapaxes(0, 1)
+    dp = np.zeros((len(index_sets), n) + frame.batch_shape)
+    for c, (cols, block) in enumerate(
+            zip(index_sets, _blocks(frame, index_sets))):
         for r in range(n):
             rest = block[:r] + block[r + 1:]
             for a, col in enumerate(cols):
                 cof = _det([row[:a] + row[a + 1:] for row in rest])
                 if (r + a) % 2:
                     cof = -cof
-                if r == 0:
-                    p[c] += block[0][a] * cof
                 dp[c] += cof * Dt[r, col]
-    norm = np.sqrt(np.sum(p * p, axis=0))
-    pv = PlueckerVector(indices=index_sets, p=p, dp=dp, norm=norm, t=frame.t)
-    if check:
-        _zero_minor_check(pv, _column_sq_norms(frame))
-    return pv
+    return dp
 
 
 def _column_sq_norms(frame: JetFrame) -> np.ndarray:
     """Squared Jacobian column norms ``|d x / d t_j|^2``, ``(n, ...)``."""
-    At = np.moveaxis(frame.jac, 0, 1)
+    At = frame.jac.swapaxes(0, 1)
     return np.sum(At * At, axis=1)
+
+
+def scaled_frame(frame: JetFrame):
+    """``(frame, col_sq, e)``: the frame with its Jacobian and second
+    derivatives multiplied by ``2**-e``, its squared column norms, and
+    ``e``, which is 0 (the frame untouched) unless the frame's scale is
+    outside a window that keeps every density's products finite.
+
+    Every density is homogeneous of degree 0 in the frame, and scaling
+    by a power of two is exact, so the densities are unchanged.  They
+    multiply at most ``n (n + 1) + 2`` Jacobian entries (the degree
+    form's ``|p|^(n+1)``, the complex pairing's ``|p|^4``); the window
+    keeps such a product of the largest entries within half the
+    exponent range.  A scaled frame's largest entry is in ``[1/2, 1)``.
+    """
+    with np.errstate(over="ignore"):
+        col_sq = _column_sq_norms(frame)
+    bound = 2.0 ** (1022 // (frame.n * (frame.n + 1) + 2))
+    if 1.0 / bound <= col_sq.max() <= bound:
+        return frame, col_sq, 0
+    top = float(np.max(np.abs(frame.jac)))
+    if not 0.0 < top < math.inf:
+        # no scale to take out; the rank test refuses such a frame
+        return frame, col_sq, 0
+    e = math.frexp(top)[1]
+    frame = JetFrame(t=frame.t, x=frame.x, jac=np.ldexp(frame.jac, -e),
+                     second=np.ldexp(frame.second, -e))
+    return frame, _column_sq_norms(frame), e
 
 
 def _zero_minor_check(pv: PlueckerVector, col_sq: np.ndarray) -> None:
@@ -292,7 +342,8 @@ def _zero_minor_check(pv: PlueckerVector, col_sq: np.ndarray) -> None:
             location=location)
 
 
-def check_minors(frame: JetFrame, pv: PlueckerVector) -> None:
+def check_minors(frame: JetFrame, pv: PlueckerVector,
+                 col_sq: Optional[np.ndarray] = None) -> None:
     """The rank test of ``immersion_check`` and the zero-minor test of
     ``pluecker``, with the SVD skipped where the minors suffice.
 
@@ -310,15 +361,18 @@ def check_minors(frame: JetFrame, pv: PlueckerVector) -> None:
     sqrt(e_n(s))`` (Maclaurin), and ``sqrt(e_n(s))`` is the Hadamard
     bound ``prod |d x / d t_j|``.  So that test runs only after a
     fallback, and after the rank test, which keeps
-    ``DegenerateJacobian`` first.
+    ``DegenerateJacobian`` first.  ``col_sq`` are the frame's squared
+    column norms, if already at hand.
     """
-    col_sq = _column_sq_norms(frame)
+    n = frame.n
+    if col_sq is None:
+        col_sq = _column_sq_norms(frame)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = sum(np.prod(np.delete(col_sq, j, axis=0), axis=0)
-                for j in range(frame.n))
+                for j in range(n)) if n > 1 else 1.0
         lower = pv.norm / np.sqrt(e)
-    floor = 2.0 * _RANK_EPS * math.sqrt(np.max(np.sum(col_sq, axis=0)))
+    floor = 2.0 * _RANK_EPS * math.sqrt(col_sq.sum(axis=0).max())
     # NaN fails every comparison, so it falls through to the SVD
-    if not (floor < np.min(lower) and np.max(pv.norm) < math.inf):
+    if not (floor < lower.min() and pv.norm.max() < math.inf):
         immersion_check(frame)
         _zero_minor_check(pv, col_sq)

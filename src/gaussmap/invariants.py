@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import CertificationFailed, DomainError, FormSpecError
-from .forms import (PlueckerFormSpec, canonical_density, gauss_bonnet_density,
+import numpy as np
+
+from .errors import (CertificationFailed, DegenerateJacobian, DomainError,
+                     FormSpecError, ZeroPlueckerVector)
+from .forms import (PlueckerFormSpec, degree_density, gauss_bonnet_density,
                     generic_pluecker_density, kaehler_density,
                     projective_density)
 from .geometry import (ConeChart, ImmersionChart, check_minors,
-                       minor_index_sets, pluecker)
+                       minor_index_sets, pluecker, scaled_frame)
 from .integrate import (DomainSpec, IntegralResult, QuadratureSpec, certify,
                         integrate_kernels)
 
@@ -60,17 +63,29 @@ class InvariantReport:
 
 def level_stage(chart):
     """The shared part of a quadrature level: the chart's frame, its
-    minors, and the rank and zero-minor tests, as ``(frame, pv)``."""
+    minors, and the rank and zero-minor tests, as ``(frame, pv)``.
+
+    A frame too large or too small for the densities' products is
+    scaled by a power of two first (``scaled_frame``), which changes no
+    density; a failed test still reports ``sigma_min`` and ``norm`` in
+    the chart's own units.
+    """
     def stage(pts):
-        frame = chart.frame(pts)
+        frame, col_sq, e = scaled_frame(chart.frame(pts))
         pv = pluecker(frame, check=False)
-        check_minors(frame, pv)
+        try:
+            check_minors(frame, pv, col_sq)
+        except (DegenerateJacobian, ZeroPlueckerVector) as exc:
+            # sigma_min scales with the Jacobian, the minors' norm as its
+            # n-th power
+            for key, power in (("sigma_min", 1), ("norm", frame.n)):
+                if e and key in exc.location:
+                    with np.errstate(over="ignore"):
+                        exc.location[key] = float(
+                            np.ldexp(exc.location[key], e * power))
+            raise
         return frame, pv
     return stage
-
-
-def _degree(frame, pv):
-    return canonical_density(pv)
 
 
 def _curvature(frame, pv):
@@ -98,7 +113,8 @@ def winding_number(chart: ImmersionChart, domain: DomainSpec,
     """
     if chart.n != 1 or chart.ambient_dim != 2:
         raise ValueError("winding numbers are for plane curves")
-    res, = integrate_kernels(level_stage(chart), (_degree,), domain, quad)
+    res, = integrate_kernels(level_stage(chart), (degree_density,), domain,
+                             quad)
     report = _report("winding", res, 1, quad, convention)
     turning = None if report.k is None else -report.k
     return replace(report, extras={"turning_number": turning})
@@ -122,7 +138,8 @@ def gauss_degree(chart: ImmersionChart, domain: DomainSpec,
     if cross_check and n != 2:
         raise ValueError("curvature cross-check exists only for "
                          "surfaces in 3-space")
-    kernels = (_degree, _curvature) if cross_check else (_degree,)
+    kernels = ((degree_density, _curvature) if cross_check
+               else (degree_density,))
     results = integrate_kernels(level_stage(chart), kernels, domain, quad)
     res = results[0]
     report = _report("gauss_degree", res, n, quad, convention)

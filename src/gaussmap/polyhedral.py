@@ -130,7 +130,9 @@ def _checked_rows(raw: np.ndarray, num_vertices: int,
     """Index rows as int64; errors name simplex ``offset + row``."""
     if raw.ndim != 2:
         raise MeshError("each simplex must be a list of vertex indices")
-    if raw.dtype.kind in "iu":
+    if raw.dtype.kind in "iu" or (raw.dtype.kind == "O" and all(
+            isinstance(i, (int, np.integer)) for i in raw.flat)):
+        # an object array holds integers past the 64-bit range exactly
         cells = raw
         fractional = np.zeros(len(raw), bool)
     elif raw.dtype.kind == "f":

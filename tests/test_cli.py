@@ -13,7 +13,9 @@ import pytest
 import gaussmap
 from gaussmap import errors
 from gaussmap.cli import main
+from gaussmap.forms import degree_density
 from gaussmap.integrate import tensor_nodes
+from gaussmap.invariants import level_stage
 from gaussmap.manifest import load_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -242,6 +244,29 @@ def test_density_dump_matches_quadrature(tmp_path):
     assert abs(total - ref["raw"]) <= 1e-12 * max(1.0, abs(ref["raw"]))
 
 
+def test_density_dump_matches_the_solid_degree_route(tmp_path):
+    """For n = 3 the dump is the kernel ``gauss-degree`` integrates."""
+    man = tmp_path / "s3.man"
+    man.write_text("kind: immersion\nn: 3\nambient: 4\n"
+                   "x1 = cos(t1)*sin(t2)*sin(t3)\n"
+                   "x2 = sin(t1)*sin(t2)*sin(t3)\n"
+                   "x3 = cos(t2)*sin(t3)\nx4 = cos(t3)\n"
+                   "t1 in [0, 2*pi) periodic\nt2 in (0, pi) open\n"
+                   "t3 in (0, pi) open\n")
+    out = tmp_path / "s3.csv"
+    doc = run_json("density-dump", man, "--grid", "8", "--out", out)
+    assert doc["rows"] == 512
+    lines = out.read_text().strip().splitlines()
+    density = np.array([float(ln.split(",")[-1]) for ln in lines[1:]])
+    m = load_manifest(man)
+    pts, weights = tensor_nodes(m.domain, 8)
+    kernel = degree_density(*level_stage(m.chart)(pts))
+    assert np.array_equal(density, kernel.reshape(-1))
+    ref = run_json("gauss-degree", man, "--grid", "8", "--max-levels", "1")
+    total = float(density @ weights.reshape(-1))
+    assert abs(total - ref["raw"]) <= 1e-12 * max(1.0, abs(ref["raw"]))
+
+
 def test_density_dump_needs_codimension_one():
     err = run_error("density-dump", MANIFESTS / "product_torus.man",
                     "--out", "/dev/null")
@@ -282,6 +307,17 @@ def test_bad_tolerance_flags_exit_2(flags):
             main(["winding", str(MANIFESTS / "circle.man"), *flags])
     assert exit_.value.code == 2
     assert "must be a finite number >= 0" in err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_mesh_total_refuses_a_bad_certification_tolerance(value):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exit_:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            main(["mesh-total", str(MANIFESTS / "tetrahedron.off"),
+                  "--tol-cert", value])
+    assert exit_.value.code == 2
+    assert "tol_cert must be a finite number >= 0" in err.getvalue()
 
 
 def test_zero_tolerances_are_allowed():

@@ -4,7 +4,7 @@ import pytest
 
 from gaussmap.errors import DegenerateMetric, FormSpecError, SingularForm
 from gaussmap.forms import (
-    canonical_density, form_spec_to_text, gauss_bonnet_density,
+    canonical_density, degree_density, form_spec_to_text, gauss_bonnet_density,
     gauss_bonnet_fundamentals, generic_pluecker_density, kaehler_density,
     orientation_sign, parse_form_spec, projective_density,
 )
@@ -37,6 +37,46 @@ def synth_pv(rng, C, n):
 
 
 # --- canonical density -------------------------------------------------------
+
+def random_hypersurface_frame(rng, n, batch=(200,)):
+    """Synthetic codimension-one frame with symmetric second derivatives."""
+    jac = rng.normal(size=(n + 1, n) + batch)
+    second = rng.normal(size=(n + 1, n, n) + batch)
+    second = second + np.swapaxes(second, 1, 2)
+    return JetFrame(t=np.zeros((n,) + batch), x=np.zeros((n + 1,) + batch),
+                    jac=jac, second=second)
+
+
+@pytest.mark.parametrize("n, sign", [(3, -1.0), (4, 1.0), (5, -1.0)])
+def test_degree_density_from_second_fundamental_form(n, sign):
+    """For n >= 3 the degree density is ``sign * det(H) / |p|^(n+1)``,
+    with ``H_ij = <x_ij, nu>`` and ``nu_a = (-1)^a p[a]``, and it matches
+    the determinant of the minors over their derivatives to rounding
+    scaled by the Hadamard bounds of both matrices."""
+    rng = np.random.default_rng(n)
+    frame = random_hypersurface_frame(rng, n)
+    pv = pluecker(frame, check=False)
+    got = degree_density(frame, pv)
+    nu = pv.p * ((-1.0) ** np.arange(n + 1)).reshape(-1, 1)
+    H = np.einsum("a...,aij...->ij...", nu, frame.second)
+    det_H = np.linalg.det(np.moveaxis(H, -1, 0))
+    scale = pv.norm ** (n + 1)
+    assert np.allclose(got * scale / det_H, sign, rtol=0, atol=1e-9)
+
+    ref = canonical_density(pv)
+    M = np.concatenate([pv.p[np.newaxis], np.swapaxes(pv.dp, 0, 1)])
+    hadamard = np.maximum(np.prod(np.linalg.norm(M, axis=1), axis=0),
+                          np.prod(np.linalg.norm(H, axis=1), axis=0))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref) <= 64 * eps * hadamard / scale)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_low_dimensional_degree_density_is_the_determinant(n):
+    frame = random_hypersurface_frame(np.random.default_rng(n), n)
+    pv = pluecker(frame, check=False)
+    assert np.array_equal(degree_density(frame, pv), canonical_density(pv))
+
 
 def test_orientation_signs():
     assert orientation_sign(1) == 1.0

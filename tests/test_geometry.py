@@ -16,6 +16,7 @@ from gaussmap.geometry import (
     immersion_check, jacobian_frame, minor_index_sets, pluecker, _det,
 )
 from gaussmap.integrate import DomainSpec, Interval, tensor_nodes
+from gaussmap.invariants import gauss_degree
 
 
 def oracle_minors(jac, index_sets):
@@ -226,6 +227,27 @@ def test_low_dimensional_pipelines_never_call_lapack_det(monkeypatch):
     for frame in (curve_frame, surface_frame, solid_frame):
         assert np.all(np.isfinite(canonical_density(pluecker(frame))))
     assert np.all(np.isfinite(gauss_bonnet_density(surface_frame)))
+
+
+def test_degree_route_of_a_3_sphere_never_builds_minor_derivatives(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minor derivatives built")
+    monkeypatch.setattr(gaussmap.geometry, "_minor_derivatives", refuse)
+    report = gauss_degree(ImmersionChart(S3, 3), S3_DOM)
+    assert report.k == 1 and report.converged
+
+
+def test_minor_derivatives_are_built_once_on_first_read(monkeypatch):
+    frame = ImmersionChart(S3, 3).frame(tensor_nodes(S3_DOM, 4)[0])
+    pv = pluecker(frame)
+    calls = []
+    build = gaussmap.geometry._minor_derivatives
+    monkeypatch.setattr(gaussmap.geometry, "_minor_derivatives",
+                        lambda *args: calls.append(1) or build(*args))
+    assert pv.n == 3 and not calls
+    assert pv.dp is pv.dp and len(calls) == 1
+    assert pv.dp.shape == (4, 3, 4, 4, 4)
 
 
 S3 = ["cos(t1)*sin(t2)*sin(t3)", "sin(t1)*sin(t2)*sin(t3)", "cos(t2)*sin(t3)",

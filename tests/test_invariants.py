@@ -2,6 +2,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,50 @@ def test_unaffordable_level_is_refused_before_allocation():
     assert exc.value.location == {"level": 1, "nodes": 256,
                                   "points": 256 ** 3,
                                   "bytes": 256 ** 3 * 1024}
+
+
+# --- extreme scales ----------------------------------------------------------
+
+S3 = ["cos(t1)*sin(t2)*sin(t3)", "sin(t1)*sin(t2)*sin(t3)", "cos(t2)*sin(t3)",
+      "cos(t3)"]
+S3_DOM = DomainSpec([Interval(0, 2 * math.pi, periodic=True),
+                     Interval(0, math.pi), Interval(0, math.pi)])
+
+
+def _scaled_chart(coords, radius):
+    return ImmersionChart([f"{radius!r}*({c})" for c in coords],
+                          len(coords) - 1)
+
+
+@pytest.mark.parametrize("coords, domain, radius, driver, k", [
+    (["cos(t1)", "sin(t1)"], CIRCLE_DOM, 1e200, winding_number, -1),
+    (["cos(t1)", "sin(t1)"], CIRCLE_DOM, 1e-200, winding_number, -1),
+    (SPHERE, SPHERE_DOM, 1e120, euler_characteristic, 1),
+    (S3, S3_DOM, 1e30, gauss_degree, 1),
+    (S3, S3_DOM, 1e-30, gauss_degree, 1)])
+def test_extreme_scale_charts_certify_without_warnings(coords, domain, radius,
+                                                       driver, k):
+    """Frames are scaled by a power of two before the minors, so huge
+    and tiny charts certify like the unit ones and warn of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = driver(_scaled_chart(coords, radius), domain)
+    assert report.k == k and report.converged
+    if driver is euler_characteristic:
+        assert report.extras["euler_characteristic"] == 2
+        assert report.cross_checks["curvature_route"]["agrees"]
+
+
+def test_scaled_frame_reports_sigma_min_in_chart_units():
+    """A flattened circle fails the rank test at any scale; the payload
+    of the scaled frame is in the chart's own units."""
+    def sigma_min(scale):
+        chart = ImmersionChart([f"{scale!r}*cos(t1)",
+                                f"{scale * 1e-10!r}*sin(t1)"], 1)
+        with pytest.raises(DegenerateJacobian) as exc:
+            winding_number(chart, CIRCLE_DOM)
+        return exc.value.location["sigma_min"]
+    unit = sigma_min(1.0)
+    assert 0 < unit < 1e-9
+    assert sigma_min(1e200) == pytest.approx(1e200 * unit, rel=1e-12)
+    assert sigma_min(1e-200) == pytest.approx(1e-200 * unit, rel=1e-12)

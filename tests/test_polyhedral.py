@@ -602,6 +602,28 @@ def test_huge_simplex_index_checks_keep_their_order():
         SimplicialImmersion(vertices, [[1e30, 2e30, 0.0]])
 
 
+@pytest.mark.parametrize("index", [10 ** 20, -10 ** 20])
+def test_simplex_index_past_64_bits_is_named(tmp_path, index):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simplices": [[index, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}))
+    with pytest.raises(MeshError) as err:
+        load_mesh_json(path)
+    assert err.value.message == \
+        f"simplex 0 references vertex {index}, have 4"
+
+
+def test_simplex_index_past_64_bits_keeps_the_check_order():
+    vertices = tetrahedron().vertices
+    with pytest.raises(MeshError, match="must be integers"):
+        SimplicialImmersion(vertices, [[10 ** 20, 0.5, 1]])
+    with pytest.raises(MeshError, match=r"simplex 1 repeats a vertex: "
+                                        r"\(0, 100000000000000000000, 0\)"):
+        SimplicialImmersion(vertices, [[0, 1, 2], [0, 10 ** 20, 0],
+                                       [10 ** 21, 1, 2]])
+
+
 @pytest.mark.parametrize("single, make", [
     (exterior_angle_2, tetrahedron), (exterior_angle_3, simplex4_boundary)])
 def test_vertex_out_of_range_is_a_mesh_error(single, make):
